@@ -2,8 +2,9 @@
 
 Draws seeded random block quadruples, asks decide_alternative for a verdict,
 re-verifies the returned certificate by substitution, and confirms with a
-direct LP encoding that the opposite system really is infeasible.  Any
-violation is printed with the offending seed; the run fails loudly.
+direct LP encoding, solved by HiGHS rather than vopt's simplex, that the
+opposite system really is infeasible.  Any violation is printed with the
+offending seed; the run fails loudly.
 
     python3 scripts/alternative_stress.py [--count 1000] [--seed 0] [--max-dim 6]
 """
@@ -11,69 +12,15 @@ violation is printed with the offending seed; the run fails loudly.
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from vopt.linprog import (
-    LpProblem,
-    MultiplierWitness,
-    StrictWitness,
-    _blocks,
-    decide_alternative,
-    solve_lp,
-    verify_certificate,
-)
+from vopt.linprog import MultiplierWitness, StrictWitness, decide_alternative, verify_certificate
 
-
-def random_instance(rng, max_dim):
-    s = int(rng.integers(1, max_dim + 1))
-    q = int(rng.integers(1, max_dim + 1))
-    r = int(rng.integers(0, max_dim + 1))
-    p = int(rng.integers(0, max_dim + 1))
-    A = rng.uniform(-3, 3, size=(s, q))
-    B = rng.uniform(-3, 3, size=(s, r)) if r else None
-    C = rng.uniform(-3, 3, size=(p, q)) if p else None
-    D = rng.uniform(-3, 3, size=(p, r)) if (p and r) else None
-    return A, B, C, D
-
-
-def strict_system_solvable(A, B, C, D) -> bool:
-    A, B, C, D = _blocks(A, B, C, D)
-    s, q = A.shape
-    r, p = B.shape[1], C.shape[0]
-    if q == 0:
-        return True
-    nvar = s + p + 1
-    rows = [np.concatenate([A[:, i], C[:, i], [1.0]]) for i in range(q)]
-    rows += [np.concatenate([B[:, j], D[:, j], [0.0]]) for j in range(r)]
-    cap = np.zeros(nvar)
-    cap[-1] = 1.0
-    rows.append(cap)
-    rhs = np.zeros(len(rows))
-    rhs[-1] = 1.0
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    out = solve_lp(LpProblem(c, np.array(rows), ["<="] * len(rows), rhs,
-                             free=tuple(range(s)) + (nvar - 1,), maximize=True))
-    return out.status == "optimal" and out.objective is not None and out.objective > 1e-9
-
-
-def multiplier_system_solvable(A, B, C, D) -> bool:
-    A, B, C, D = _blocks(A, B, C, D)
-    s, q = A.shape
-    r, p = B.shape[1], C.shape[0]
-    rows = [np.concatenate([A[i], B[i]]) for i in range(s)]
-    senses = ["="] * s
-    rhs = [0.0] * s
-    for k in range(p):
-        rows.append(np.concatenate([C[k], D[k]]))
-        senses.append(">=")
-        rhs.append(0.0)
-    rows.append(np.concatenate([np.ones(q), np.zeros(r)]))
-    senses.append("=")
-    rhs.append(1.0)
-    out = solve_lp(LpProblem(np.zeros(q + r), np.array(rows), senses, np.array(rhs)))
-    return out.status == "optimal"
+# the HiGHS-backed oracles the test suite uses
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _oracles import multiplier_system_solvable, random_instance, strict_system_solvable  # noqa: E402
 
 
 def main() -> int:

@@ -3,8 +3,9 @@
 Every subcommand prints a short human summary and, with --json PATH, writes
 a report {version, problem_sha256, command, seed, payload, elapsed_ms} with
 sorted keys, so the same invocation and seed reproduce the same payload.
-Exit codes: 0 ok, 1 usage or parse failure, 2 infeasible point or empty
-domain, 3 numerical breakdown or a failed reproduction diff.
+Exit codes: 0 ok, 1 usage or parse failure, 2 infeasible point, empty
+domain, bad weights or an expression undefined at the given point,
+3 numerical breakdown or a failed reproduction diff.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .expr import ExprError
 from .gridsearch import find_kt_points
 from .invexity import check_class, inclusion_audit
 from .ktcheck import classify_point
@@ -306,7 +308,10 @@ def _matrix(data, key):
     block = data.get(key)
     if block is None:
         return None
-    arr = np.asarray(block, dtype=float)
+    try:
+        arr = np.asarray(block, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"block {key} is not a numeric matrix: {e}") from e
     return arr if arr.size else None
 
 
@@ -395,12 +400,26 @@ def _assemble(argv, args, payload, digest, elapsed) -> dict:
     }
 
 
+def _grid_size(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    t = float(text)
+    if not (0.0 <= t < np.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return t
+
+
 def _add_common(sub, grid=True, dirs=True):
-    sub.add_argument("--tol", type=float, default=1e-8, help="feasibility/stationarity tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=1e-8, help="feasibility/stationarity tolerance")
     if grid:
         sub.add_argument(
             "--grid",
-            type=int,
+            type=_grid_size,
             default=None,
             help="grid points per axis (default: dimension-dependent, 201 for two variables)",
         )
@@ -488,7 +507,7 @@ def main(argv=None) -> int:
     except (ParseError, EmptyObjectives, BadBounds, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (InfeasiblePoint, NoFeasiblePointInBox, BadWeights) as e:
+    except (InfeasiblePoint, NoFeasiblePointInBox, BadWeights, ExprError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalBreakdown as e:

@@ -68,7 +68,8 @@ class UnknownVariable(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the real domain (log/sqrt of a nonpositive value,
-    division by zero, zero raised to a negative power)."""
+    division by zero, zero raised to a negative power) or overflowed the
+    double range."""
 
 
 class NondifferentiablePoint(ExprError):
@@ -340,11 +341,25 @@ def evaluate(e: Expr, x) -> float:
             v = evaluate(b, x)
             if v == 0.0 and n < 0:
                 raise DomainError("zero base with negative exponent")
-            return float(v**n)
+            return _power(v, n)
         case Call(fn, a):
             v = evaluate(a, x)
             return _call_value(fn, v)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _power(v: float, n: int) -> float:
+    try:
+        return float(v**n)
+    except OverflowError:
+        raise DomainError(f"{v}^{n} overflows") from None
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp of {v} overflows") from None
 
 
 def _call_value(fn: str, v: float) -> float:
@@ -353,7 +368,7 @@ def _call_value(fn: str, v: float) -> float:
     if fn == "cos":
         return math.cos(v)
     if fn == "exp":
-        return math.exp(v)
+        return _exp(v)
     if fn == "abs":
         return abs(v)
     if fn == "log":
@@ -461,7 +476,7 @@ def _jet_pow(u: _J, n: int) -> _J:
     if a == 0.0 and n < 0:
         raise DomainError("zero base with negative exponent")
     # 0^0 := 1 below covers a = 0 with n = 2
-    p2 = float(a ** (n - 2)) if (a != 0.0 or n >= 2) else 0.0
+    p2 = _power(a, n - 2) if (a != 0.0 or n >= 2) else 0.0
     p1 = p2 * a
     p0 = p1 * a
     return (p0, n * p1 * b, n * (n - 1) * p2 * b * b + n * p1 * c)
@@ -481,7 +496,7 @@ def _jet_call(fn: str, u: _J) -> _J:
         sa, ca = math.sin(a), math.cos(a)
         return (ca, -sa * b, -ca * b * b - sa * c)
     if fn == "exp":
-        ea = math.exp(a)
+        ea = _exp(a)
         return (ea, ea * b, ea * (b * b + c))
     if fn == "log":
         if a <= 0.0:

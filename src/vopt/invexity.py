@@ -19,16 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .expr import NondifferentiablePoint, evaluate, grad, second_dir_deriv
+from .expr import evaluate
 from .gridsearch import find_kt_points, get_grid
-from .ktcheck import (
-    SECOND_ORDER_KT,
-    MissingSecondDerivative,
-    NotCritical,
-    _as_analysis,
-    classify_point,
-    first_order_kt,
-)
+from .ktcheck import SECOND_ORDER_KT, NotCritical, classify_point, first_order_kt
 from .linprog import (
     LpProblem,
     MultiplierWitness,
@@ -37,7 +30,7 @@ from .linprog import (
     decide_alternative,
     solve_lp,
 )
-from .problem import DEFAULT_TOL, ProblemDef, active_set, sample_critical_directions
+from .problem import DEFAULT_TOL, DirectionAnalysis, LocalModel, ProblemDef
 from .scalarize import NoFeasiblePointInBox, check_saddle, lagrangian, solve_weighting
 
 KTSP_INVEX = "KTSPInvex"
@@ -230,15 +223,8 @@ def _candidate_triples(P: ProblemDef, x, tol, analyses=None):
     anywhere in the band, and a mu off by 1e-8 fakes Lagrangian gaps of that
     order across the box.  With `analyses` given, pairs must also have
     nonnegative curvature along each listed critical direction."""
-    x = np.asarray(x, dtype=float)
-    act = active_set(P, x, tol)
-    n, s = P.n_objectives, P.dim
-    fg = np.array([grad(f, x) for f in P.objectives])
-    gg = np.array([grad(P.constraints[j], x) for j in act.indices]).reshape(
-        len(act.indices), s
-    )
-    norms = [float(np.linalg.norm(r)) for r in fg] + [float(np.linalg.norm(r)) for r in gg]
-    band = tol * (1.0 + max(norms, default=0.0))
+    m = LocalModel(P, x, tol)
+    act, fg, gg, n = m.active, m.Gf, m.Gg, P.n_objectives
 
     lams: list[np.ndarray] = []
     fo = first_order_kt(P, x, tol)
@@ -253,7 +239,7 @@ def _candidate_triples(P: ProblemDef, x, tol, analyses=None):
             mu_act, resid = nnls(gg.T, b)
         else:
             mu_act, resid = np.zeros(0), float(np.linalg.norm(b))
-        if resid > band:
+        if resid > m.band:
             continue
         mu = np.zeros(P.n_constraints)
         mu[list(act.indices)] = mu_act
@@ -271,13 +257,7 @@ def _candidate_triples(P: ProblemDef, x, tol, analyses=None):
     if analyses is None:
         return kept
     curv_ok = []
-    seconds = []
-    for da in analyses:
-        f2 = np.array([second_dir_deriv(f, x, da.direction) for f in P.objectives])
-        g2 = np.array(
-            [second_dir_deriv(P.constraints[j], x, da.direction) for j in act.indices]
-        )
-        seconds.append((f2, g2))
+    seconds = [m.second(da.direction) for da in analyses]
     for lam, mu in kept:
         mu_act = mu[list(act.indices)] if len(act.indices) else np.zeros(0)
         ok = True
@@ -463,62 +443,42 @@ def pointwise_eta_feasibility(
     System 1 asks for eta (and omega >= 0 at second order) with
     grad f_i(x).eta + omega f_i''(x; d) <= f_i(y) - f_i(x) for every i and
     grad g_j(x).eta + omega g_j''(x; d) <= g_j(y) on the active set at x;
-    system 2 for strict descent in every objective with no constraint
-    increase.  The first solvable system wins; when both are refuted the
+    system 2 for strict descent in every objective with no active
+    constraint increasing.  The first solvable system wins; when both are refuted the
     multiplier certificate against system 2 is attached.  x must be
     feasible, and d critical at x for the second order.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    act = active_set(P, x, tol)
-    n, m, s = P.n_objectives, P.n_constraints, P.dim
-    fg = np.array([grad(f, x) for f in P.objectives])
-    gg = np.array([grad(g, x) for g in P.constraints]).reshape(m, s)
+    m = LocalModel(P, x, tol)
+    x, act, fg, gg, s = m.point, list(m.active.indices), m.Gf, m.Gg, P.dim
 
     if order == ORDER_SECOND:
-        da = _as_analysis(P, x, d, tol)
+        da = d if isinstance(d, DirectionAnalysis) else m.directions([d])[0]
         if not da.is_critical:
             raise NotCritical(f"direction {da.direction} is not critical at {x}")
-        try:
-            f2 = np.array([second_dir_deriv(f, x, da.direction) for f in P.objectives])
-            g2 = np.array([second_dir_deriv(g, x, da.direction) for g in P.constraints])
-        except NondifferentiablePoint as e:
-            raise MissingSecondDerivative(str(e)) from e
+        f2, g2 = m.second(da.direction)
     elif order == ORDER_FIRST:
-        f2 = np.zeros(n)
-        g2 = np.zeros(m)
+        f2, g2 = np.zeros(len(fg)), np.zeros(len(gg))
     else:
         raise ValueError(f"unknown order {order!r}")
 
     fx, fy = _values(P.objectives, x), _values(P.objectives, y)
     gy = _values(P.constraints, y)
 
-    rows = [np.concatenate([fg[i], [f2[i]]]) for i in range(n)]
-    rhs = [float(fy[i] - fx[i]) for i in range(n)]
-    for j in act.indices:
-        rows.append(np.concatenate([gg[j], [g2[j]]]))
-        rhs.append(float(gy[j]))
-    lp = LpProblem(
-        c=np.zeros(s + 1),
-        A=np.array(rows),
-        senses=["<="] * len(rows),
-        b=np.array(rhs),
-        free=range(s),
-    )
-    out = solve_lp(lp)
+    rows = np.column_stack([np.vstack([fg, gg]), np.concatenate([f2, g2])])
+    rhs = np.concatenate([fy - fx, gy[act]])
+    out = solve_lp(LpProblem(c=np.zeros(s + 1), A=rows, senses=["<="] * len(rows), b=rhs, free=range(s)))
     if out.status == "optimal":
         eta, omega = out.x[:s], float(out.x[s])
-        slack = np.array(rows) @ out.x[: s + 1] - np.array(rhs)
+        slack = rows @ out.x[: s + 1] - rhs
         if (slack > 1e-7 * (1.0 + np.abs(rhs))).any():
             raise NumericalBreakdown("system 1 witness failed re-verification")
         if order == ORDER_FIRST:
             omega = 0.0
         return EtaFeasibility(system=1, eta=eta, omega=omega, certificate=None)
 
-    if order == ORDER_SECOND:
-        res = decide_alternative(fg.T, gg.T if m else None, f2[None, :], g2[None, :] if m else None)
-    else:
-        res = decide_alternative(fg.T, gg.T if m else None, None, None)
+    seconds = (f2[None, :], g2[None, :]) if order == ORDER_SECOND else (None, None)
+    res = decide_alternative(fg.T, gg.T, *seconds)
     if isinstance(res, StrictWitness):
         omega = float(res.u[0]) if res.u.size else 0.0
         return EtaFeasibility(system=2, eta=res.x, omega=omega, certificate=None)

@@ -1,9 +1,9 @@
 """First- and second-order Kuhn-Tucker stationarity decided by LP feasibility.
 
-Stationarity rows Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 are relaxed to a band of
-half-width tol·scale so polished floating-point stationary points are not
-rejected on roundoff; returned pairs always carry the honestly recomputed
-residual.  The curvature row L''(x; d) >= 0 is exact, so returned pairs
+Stationarity rows Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 are relaxed to the
+point's stationarity band, tol·(1 + max gradient norm), so polished
+floating-point stationary points are not rejected on roundoff; returned
+pairs always carry the honestly recomputed residual.  The curvature row L''(x; d) >= 0 is exact, so returned pairs
 satisfy it up to solver feasibility tolerance.
 """
 
@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import NondifferentiablePoint, grad, second_dir_deriv
 from .linprog import LpProblem, MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative, solve_lp
 from .problem import (
     DEFAULT_TOL,
     DirectionAnalysis,
+    LocalModel,
+    MissingSecondDerivative,
     ProblemDef,
-    active_set,
     analyze_direction,
-    sample_critical_directions,
 )
 
 __all__ = [
@@ -56,10 +55,6 @@ SECOND_ORDER_KT = "SecondOrderKT"
 
 
 class NotCritical(Exception):
-    pass
-
-
-class MissingSecondDerivative(Exception):
     pass
 
 
@@ -106,32 +101,19 @@ class PrimalVerdict:
         return self.status == "Inconsistent"
 
 
-def _gradient_scale(rows: list[np.ndarray]) -> float:
-    return 1.0 + max((float(np.linalg.norm(r)) for r in rows), default=0.0)
-
-
 def first_order_kt(
     P: ProblemDef, x, tol: float = DEFAULT_TOL, normalization: str = SUM_LAMBDA_ONE
 ) -> MultiplierPair | None:
     """One pair (lam, mu) with lam, mu >= 0, mu supported on the active set,
-    and Sum lam_i grad f_i + Sum mu_j grad g_j = 0 within tol·scale; None when
-    the stationarity system is infeasible."""
-    x = np.asarray(x, dtype=float)
-    act = active_set(P, x, tol)
-    n, s = P.n_objectives, P.dim
-    fg = np.array([grad(f, x) for f in P.objectives])
-    gg = np.array([grad(P.constraints[j], x) for j in act.indices]).reshape(len(act.indices), s)
-    return _multiplier_lp(P, act.indices, fg, gg, None, None, tol, normalization)
+    and Sum lam_i grad f_i + Sum mu_j grad g_j = 0 within the stationarity
+    band; None when the stationarity system is infeasible."""
+    return _multiplier_lp(LocalModel(P, x, tol), None, None, normalization)
 
 
 def _multiplier_lp(
-    P: ProblemDef,
-    act_idx: tuple[int, ...],
-    fg: np.ndarray,
-    gg: np.ndarray,
+    m: LocalModel,
     f2: np.ndarray | None,
     g2: np.ndarray | None,
-    tol: float,
     normalization: str,
     obj_support: tuple[int, ...] | None = None,
     con_support: tuple[int, ...] | None = None,
@@ -140,6 +122,7 @@ def _multiplier_lp(
     them a curvature row L'' >= 0 and the slack objective max min(L'', 1)
     are added.  Support tuples pin the remaining multipliers to zero by
     dropping their columns."""
+    P, act_idx, fg, gg, band = m.P, m.active.indices, m.Gf, m.Gg, m.band
     n, s = P.n_objectives, P.dim
     obj_cols = list(range(n)) if obj_support is None else list(obj_support)
     con_cols = list(range(len(act_idx))) if con_support is None else [
@@ -151,36 +134,22 @@ def _multiplier_lp(
     second_order = f2 is not None
     width = nl + nm + (1 if second_order else 0)
 
-    scale = _gradient_scale([fg[i] for i in range(n)] + [gg[k] for k in range(len(act_idx))])
-    band = tol * scale
-
     rows: list[np.ndarray] = []
     senses: list[str] = []
     b: list[float] = []
 
-    def stationarity_row(k: int) -> np.ndarray:
-        r = np.zeros(width)
-        for col, i in enumerate(obj_cols):
-            r[col] = fg[i, k]
-        for col, j in enumerate(con_cols):
-            r[nl + col] = gg[j, k]
-        return r
-
-    for k in range(s):
-        r = stationarity_row(k)
-        rows.append(r)
-        senses.append("<=")
-        b.append(band)
-        rows.append(r)
-        senses.append(">=")
-        b.append(-band)
+    stationarity = np.zeros((s, width))
+    stationarity[:, :nl] = fg[obj_cols].T
+    stationarity[:, nl : nl + nm] = gg[con_cols].T
+    for r in stationarity:
+        rows += [r, r]
+        senses += ["<=", ">="]
+        b += [band, -band]
 
     if second_order:
         curv = np.zeros(width)
-        for col, i in enumerate(obj_cols):
-            curv[col] = f2[i]
-        for col, j in enumerate(con_cols):
-            curv[nl + col] = g2[j]
+        curv[:nl] = f2[obj_cols]
+        curv[nl : nl + nm] = g2[con_cols]
         rows.append(curv)
         senses.append(">=")
         b.append(0.0)
@@ -240,23 +209,6 @@ def _multiplier_lp(
     return MultiplierPair(lam=lam, mu=mu, normalization=normalization, residual=residual, curvature=curvature)
 
 
-def _second_derivatives(P: ProblemDef, x: np.ndarray, da: DirectionAnalysis):
-    try:
-        f2 = np.array([second_dir_deriv(f, x, da.direction) for f in P.objectives])
-        g2 = np.array(
-            [second_dir_deriv(P.constraints[j], x, da.direction) for j in da.active.indices]
-        )
-    except NondifferentiablePoint as e:
-        raise MissingSecondDerivative(str(e)) from e
-    return f2, g2
-
-
-def _as_analysis(P: ProblemDef, x, d, tol: float) -> DirectionAnalysis:
-    if isinstance(d, DirectionAnalysis):
-        return d
-    return analyze_direction(P, x, d, tol)
-
-
 def second_order_multipliers(
     P: ProblemDef,
     x,
@@ -268,29 +220,26 @@ def second_order_multipliers(
     """Multipliers certifying the second-order condition along one critical
     direction: stationarity rows, curvature row L''(x; d) >= 0, and the
     chosen normalization.  `d` may be a vector or a ready DirectionAnalysis."""
-    x = np.asarray(x, dtype=float)
-    da = _as_analysis(P, x, d, tol)
+    da = d if isinstance(d, DirectionAnalysis) else analyze_direction(P, x, d, tol)
+    return _second_order(da, mode, normalization)
+
+
+def _critical_seconds(da: DirectionAnalysis) -> tuple[np.ndarray, np.ndarray]:
     if not da.is_critical:
-        raise NotCritical(f"direction {da.direction} is not critical at {x}")
-    f2, g2 = _second_derivatives(P, x, da)
-    n, s = P.n_objectives, P.dim
-    fg = np.array([grad(f, x) for f in P.objectives])
-    gg = np.array([grad(P.constraints[j], x) for j in da.active.indices]).reshape(
-        len(da.active.indices), s
-    )
-    obj_support = da.zero_objectives if mode == MODE_SUPPORT else None
-    con_support = da.zero_constraints if mode == MODE_SUPPORT else None
+        raise NotCritical(f"direction {da.direction} is not critical at {da.point}")
+    return da.model.second(da.direction)
+
+
+def _second_order(da: DirectionAnalysis, mode: str, normalization: str) -> MultiplierPair | None:
+    f2, g2 = _critical_seconds(da)
+    support = mode == MODE_SUPPORT
     return _multiplier_lp(
-        P,
-        da.active.indices,
-        fg,
-        gg,
+        da.model,
         f2,
         g2,
-        tol,
         normalization,
-        obj_support=obj_support,
-        con_support=con_support,
+        obj_support=da.zero_objectives if support else None,
+        con_support=da.zero_constraints if support else None,
     )
 
 
@@ -306,27 +255,23 @@ def classify_point(
     """First-order test, then second-order multipliers over the sampled
     critical directions.  SecondOrderKT means every tested direction admits
     a pair; the verdict is relative to `dirs` resolution."""
-    x = np.asarray(x, dtype=float)
-    fo = first_order_kt(P, x, tol, normalization)
+    m = LocalModel(P, x, tol)
+    fo = _multiplier_lp(m, None, None, normalization)
     if fo is None:
         return StationarityVerdict(
-            point=x, level=NOT_STATIONARY, first_order=None, per_direction=(), directions_tested=0
+            point=m.point, level=NOT_STATIONARY, first_order=None, per_direction=(), directions_tested=0
         )
-    sampled = sample_critical_directions(P, x, count=dirs, seed=seed, tol=tol)
-    outcomes = []
-    all_ok = True
-    for da in sampled:
-        pair = second_order_multipliers(P, x, da, tol, mode, normalization)
-        outcomes.append(DirectionOutcome(analysis=da, multipliers=pair))
-        if pair is None:
-            all_ok = False
-    level = SECOND_ORDER_KT if all_ok else FIRST_ORDER_ONLY
+    outcomes = tuple(
+        DirectionOutcome(analysis=da, multipliers=_second_order(da, mode, normalization))
+        for da in m.critical_directions(dirs, seed)
+    )
+    all_ok = all(o.multipliers is not None for o in outcomes)
     return StationarityVerdict(
-        point=x,
-        level=level,
+        point=m.point,
+        level=SECOND_ORDER_KT if all_ok else FIRST_ORDER_ONLY,
         first_order=fo,
-        per_direction=tuple(outcomes),
-        directions_tested=len(sampled),
+        per_direction=outcomes,
+        directions_tested=len(outcomes),
     )
 
 
@@ -335,31 +280,24 @@ def primal_necessary(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> PrimalVer
     every h_i with index in I(x,d) (objectives) and J(x,d) (constraints).
     Inconsistency is certified by the multiplier system of the alternative
     theorem, which is exactly a Fritz John second-order pair on I ∪ J."""
-    x = np.asarray(x, dtype=float)
-    da = _as_analysis(P, x, d, tol)
-    if not da.is_critical:
-        raise NotCritical(f"direction {da.direction} is not critical at {x}")
-    f2, g2 = _second_derivatives(P, x, da)
+    da = d if isinstance(d, DirectionAnalysis) else analyze_direction(P, x, d, tol)
+    f2, g2 = _critical_seconds(da)
     idx_f = da.zero_objectives
-    idx_g = da.zero_constraints
+    idx_g = [da.active.indices.index(j) for j in da.zero_constraints]  # rows of Gg
     if not idx_f and not idx_g:
         return PrimalVerdict(status="EmptyIndexSets", witness=None, lam=None, mu=None)
 
-    grads = [grad(P.objectives[i], x) for i in idx_f]
-    grads += [grad(P.constraints[j], x) for j in idx_g]
-    seconds = [f2[i] for i in idx_f] + [g2[da.active.indices.index(j)] for j in idx_g]
-    A = np.column_stack(grads)  # strict columns: gradient part (z variables)
+    grads = np.vstack([da.model.Gf[list(idx_f)], da.model.Gg[idx_g]])
+    seconds = [*f2[list(idx_f)], *g2[idx_g]]
+    A = grads.T  # strict columns: gradient part (z variables)
     C = np.array([seconds])  # strict columns: the homogenizing u row
     cert = decide_alternative(A=A, B=None, C=C, D=None)
 
     if isinstance(cert, MultiplierWitness):
-        y = cert.y
         lam = np.zeros(P.n_objectives)
         mu = np.zeros(P.n_constraints)
-        for k, i in enumerate(idx_f):
-            lam[i] = y[k]
-        for k, j in enumerate(idx_g):
-            mu[j] = y[len(idx_f) + k]
+        lam[list(idx_f)] = cert.y[: len(idx_f)]
+        mu[list(da.zero_constraints)] = cert.y[len(idx_f) :]
         return PrimalVerdict(status="Inconsistent", witness=None, lam=lam, mu=mu)
 
     assert isinstance(cert, StrictWitness)

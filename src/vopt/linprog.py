@@ -170,7 +170,7 @@ def _simplex(T, b, basis, cost, block):
         ratios = np.where(pos, b / np.where(pos, col, 1.0), np.inf)
         best = ratios.min()
         # Bland tie-break: smallest basic-variable index among the tied rows
-        rows = np.flatnonzero(ratios <= best + FEAS_TOL * (1.0 + best))
+        rows = np.flatnonzero(ratios <= best + FEAS_TOL * (1.0 + abs(best)))
         leave = min(rows, key=lambda r: basis[r])
         if abs(col[leave]) < PIVOT_TOL:
             raise NumericalBreakdown("pivot below tolerance")

@@ -2,28 +2,32 @@
 
 The box bounds declare the open region the problem lives in; point queries
 work anywhere the expressions evaluate, global scans stay inside the box.
-Also home to activity / criticality analysis of directions and the sampler
-that supplies candidate critical directions to downstream certificates.
+Also home to the per-point `LocalModel` (active set, gradient rows,
+tolerances), the activity / criticality analysis of directions built on it,
+and the sampler that supplies candidate critical directions to downstream
+certificates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .expr import Expr, ExprError, evaluate, grad, parse_expr
+from .expr import Expr, ExprError, NondifferentiablePoint, evaluate, grad, parse_expr, second_dir_deriv
 
 __all__ = [
     "ProblemDef",
     "ActiveSet",
+    "LocalModel",
     "DirectionAnalysis",
     "ParseError",
     "EmptyObjectives",
     "BadBounds",
     "InfeasiblePoint",
+    "MissingSecondDerivative",
     "parse_problem",
     "load_problem",
     "active_set",
@@ -54,6 +58,10 @@ class InfeasiblePoint(Exception):
         self.index = index
         self.value = value
         super().__init__(f"constraint {index} violated: g = {value:.6g} > 0")
+
+
+class MissingSecondDerivative(Exception):
+    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +100,21 @@ class ActiveSet:
 
 @dataclass(frozen=True, eq=False)
 class DirectionAnalysis:
-    point: np.ndarray
-    active: ActiveSet
+    model: LocalModel  # the point, its active set and gradient rows
     direction: np.ndarray  # unit Euclidean norm, or exactly zero
     f_products: np.ndarray  # grad f_i · d, length n
     g_products: np.ndarray  # grad g_j · d for j in active.indices, same order
     is_critical: bool
     zero_objectives: tuple[int, ...]  # i with |grad f_i · d| below tolerance
     zero_constraints: tuple[int, ...]  # active j with |grad g_j · d| below tolerance
-    tol: float
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.model.point
+
+    @property
+    def active(self) -> ActiveSet:
+        return self.model.active
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +218,121 @@ def active_set(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> ActiveSet:
     return ActiveSet(point=x, tol=tol, indices=idx, values=vals)
 
 
+class LocalModel:
+    """The local facts every first- and second-order condition reads at one
+    feasible point x, computed once: the active set A(x), the gradient rows
+    Gf (n x s) of the objectives and Gg (|A| x s) of the active constraints,
+    the per-row activity tolerances tol·(1 + |row|), and the stationarity
+    band tol·(1 + max |row|)."""
+
+    def __init__(self, P: ProblemDef, x, tol: float = DEFAULT_TOL):
+        self.P = P
+        self.tol = tol
+        self.active = active_set(P, x, tol)  # raises InfeasiblePoint
+        self.point = self.active.point
+        s = P.dim
+        self.Gf = np.array([grad(f, self.point) for f in P.objectives])
+        self.Gg = np.array(
+            [grad(P.constraints[j], self.point) for j in self.active.indices]
+        ).reshape(-1, s)
+        norms = np.array([float(np.linalg.norm(r)) for r in (*self.Gf, *self.Gg)])
+        self.f_tols = tol * (1.0 + norms[: P.n_objectives])
+        self.g_tols = tol * (1.0 + norms[P.n_objectives :])
+        self.band = tol * (1.0 + max(norms, default=0.0))
+
+    def directions(self, D) -> list[DirectionAnalysis]:
+        """Criticality analysis of each row of D, scaled to unit length
+        (a zero row stays zero): d is critical when no objective and no
+        active constraint increases to first order along it."""
+        D = np.array(D, dtype=float).reshape(-1, self.P.dim)
+        norms = np.array([float(np.linalg.norm(d)) for d in D])
+        nonzero = norms > 0.0
+        D[nonzero] /= norms[nonzero, None]
+        fp, gp = self.Gf @ D.T, self.Gg @ D.T  # one column per direction
+        f_tols, g_tols = self.f_tols[:, None], self.g_tols[:, None]
+        critical = (fp <= f_tols).all(axis=0) & (gp <= g_tols).all(axis=0)
+        f_zero, g_zero = np.abs(fp) <= f_tols, np.abs(gp) <= g_tols
+        idx = self.active.indices
+        return [
+            DirectionAnalysis(
+                model=self,
+                direction=D[k],
+                f_products=fp[:, k],
+                g_products=gp[:, k],
+                is_critical=bool(critical[k]),
+                zero_objectives=tuple(np.flatnonzero(f_zero[:, k]).tolist()),
+                zero_constraints=tuple(idx[r] for r in np.flatnonzero(g_zero[:, k])),
+            )
+            for k in range(len(D))
+        ]
+
+    def second(self, d) -> tuple[np.ndarray, np.ndarray]:
+        """Second directional derivatives along d: (f_i''(x; d) for every
+        objective, g_j''(x; d) for every active constraint)."""
+        try:
+            f2 = np.array([second_dir_deriv(f, self.point, d) for f in self.P.objectives])
+            g2 = np.array(
+                [second_dir_deriv(self.P.constraints[j], self.point, d) for j in self.active.indices]
+            )
+        except NondifferentiablePoint as e:
+            raise MissingSecondDerivative(str(e)) from e
+        return f2, g2
+
+    def critical_directions(self, count: int = 64, seed: int = 0) -> list[DirectionAnalysis]:
+        """Critical subset of: `count` low-discrepancy unit directions, the
+        +/- coordinate axes, candidate cone-edge rays, and the zero direction,
+        each kept once.  Deterministic for a given seed."""
+        s = self.P.dim
+        candidates: list[np.ndarray] = list(_uniform_directions(s, count, seed))
+        eye = np.eye(s)
+        for i in range(s):
+            candidates.append(eye[i].copy())
+            candidates.append(-eye[i])
+        candidates.extend(self._cone_edge_rays())
+        candidates.append(np.zeros(s))
+
+        units = np.empty((len(candidates), s))
+        kept = 0
+        for d in candidates:
+            norm = float(np.linalg.norm(d))
+            unit = d / norm if norm > 0 else d
+            if kept and np.linalg.norm(units[:kept] - unit, axis=1).min() <= 1e-9:
+                continue
+            units[kept] = unit
+            kept += 1
+        return [da for da in self.directions(units[:kept]) if da.is_critical]
+
+    def _cone_edge_rays(self) -> list[np.ndarray]:
+        """Null directions of (s-1)-subsets of the gradient rows: candidates for
+        extreme rays of the polyhedral critical cone.  Without these, a cone of
+        measure zero (a line, say) is invisible to any uniform sample."""
+        s = self.P.dim
+        rows = [r for r in (*self.Gf, *self.Gg) if np.linalg.norm(r) > 1e-12]
+        rays: list[np.ndarray] = []
+        if s < 2 or not rows:
+            return rays
+        take = min(s - 1, len(rows))
+        combos = itertools.combinations(range(len(rows)), take)
+        for picked in itertools.islice(combos, 200):
+            M = np.array([rows[i] for i in picked])
+            _, sv, vt = np.linalg.svd(M)
+            null = vt[np.sum(sv > 1e-9 * max(1.0, sv[0])) :]
+            for vec in null[:2]:
+                rays.append(vec)
+                rays.append(-vec)
+        return rays
+
+
 def analyze_direction(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> DirectionAnalysis:
-    x = np.asarray(x, dtype=float)
-    act = active_set(P, x, tol)
-    d = np.asarray(d, dtype=float)
-    norm = float(np.linalg.norm(d))
-    if norm > 0.0:
-        d = d / norm
-    fg = [grad(f, x) for f in P.objectives]
-    fp = np.array([float(g @ d) for g in fg])
-    gg = [grad(P.constraints[j], x) for j in act.indices]
-    gp = np.array([float(g @ d) for g in gg])
-    f_tols = np.array([_scaled(tol, np.linalg.norm(g)) for g in fg])
-    g_tols = np.array([_scaled(tol, np.linalg.norm(g)) for g in gg])
-    critical = bool((fp <= f_tols).all()) and bool((gp <= g_tols).all() if len(gp) else True)
-    zo = tuple(i for i in range(len(fp)) if abs(fp[i]) <= f_tols[i])
-    zc = tuple(
-        act.indices[k] for k in range(len(gp)) if abs(gp[k]) <= g_tols[k]
-    )
-    return DirectionAnalysis(
-        point=x,
-        active=act,
-        direction=d,
-        f_products=fp,
-        g_products=gp,
-        is_critical=critical,
-        zero_objectives=zo,
-        zero_constraints=zc,
-        tol=tol,
-    )
+    """Criticality analysis of one direction d at x (see LocalModel.directions)."""
+    return LocalModel(P, x, tol).directions([d])[0]
+
+
+def sample_critical_directions(
+    P: ProblemDef, x, count: int = 64, seed: int = 0, tol: float = DEFAULT_TOL
+) -> list[DirectionAnalysis]:
+    """The critical directions sampled at x (see LocalModel.critical_directions)."""
+    return LocalModel(P, x, tol).critical_directions(count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -274,57 +374,3 @@ def _uniform_directions(s: int, count: int, seed: int):
             continue
         yield v / norm
         produced += 1
-
-
-def _cone_edge_rays(P: ProblemDef, x, act: ActiveSet) -> list[np.ndarray]:
-    """Null directions of (s-1)-subsets of the gradient rows: candidates for
-    extreme rays of the polyhedral critical cone.  Without these, a cone of
-    measure zero (a line, say) is invisible to any uniform sample."""
-    s = P.dim
-    rows = [grad(f, x) for f in P.objectives]
-    rows += [grad(P.constraints[j], x) for j in act.indices]
-    rows = [r for r in rows if np.linalg.norm(r) > 1e-12]
-    rays: list[np.ndarray] = []
-    if s < 2 or not rows:
-        return rays
-    take = min(s - 1, len(rows))
-    combos = itertools.combinations(range(len(rows)), take)
-    for picked in itertools.islice(combos, 200):
-        M = np.array([rows[i] for i in picked])
-        _, sv, vt = np.linalg.svd(M)
-        null = vt[np.sum(sv > 1e-9 * max(1.0, sv[0])) :]
-        for vec in null[:2]:
-            rays.append(vec)
-            rays.append(-vec)
-    return rays
-
-
-def sample_critical_directions(
-    P: ProblemDef, x, count: int = 64, seed: int = 0, tol: float = DEFAULT_TOL
-) -> list[DirectionAnalysis]:
-    """Critical subset of: `count` low-discrepancy unit directions, the
-    +/- coordinate axes, candidate cone-edge rays, and the zero direction.
-    Deterministic for a given seed."""
-    x = np.asarray(x, dtype=float)
-    act = active_set(P, x, tol)
-    s = P.dim
-    candidates: list[np.ndarray] = list(_uniform_directions(s, count, seed))
-    eye = np.eye(s)
-    for i in range(s):
-        candidates.append(eye[i].copy())
-        candidates.append(-eye[i])
-    candidates.extend(_cone_edge_rays(P, x, act))
-    candidates.append(np.zeros(s))
-
-    out: list[DirectionAnalysis] = []
-    seen: list[np.ndarray] = []
-    for d in candidates:
-        norm = float(np.linalg.norm(d))
-        unit = d / norm if norm > 0 else d
-        if any(np.linalg.norm(unit - u) <= 1e-9 for u in seen):
-            continue
-        seen.append(unit)
-        da = analyze_direction(P, x, unit, tol)
-        if da.is_critical:
-            out.append(da)
-    return out

@@ -90,15 +90,15 @@ def check_weights(P: ProblemDef, lam, mu=None, tol: float = 1e-12):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (P.n_objectives,):
         raise BadWeights(f"lambda must have length {P.n_objectives}")
-    if (lam < -tol).any() or abs(lam.sum() - 1.0) > tol:
-        raise BadWeights("lambda must be nonnegative and sum to one")
+    if not np.isfinite(lam).all() or (lam < -tol).any() or abs(lam.sum() - 1.0) > tol:
+        raise BadWeights("lambda must be finite, nonnegative and sum to one")
     if mu is None:
         mu = np.zeros(P.n_constraints)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (P.n_constraints,):
         raise BadWeights(f"mu must have length {P.n_constraints}")
-    if (mu < -tol).any():
-        raise BadWeights("mu must be nonnegative")
+    if not np.isfinite(mu).all() or (mu < -tol).any():
+        raise BadWeights("mu must be finite and nonnegative")
     return lam, mu
 
 

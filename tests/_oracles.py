@@ -1,61 +1,67 @@
 """Shared oracle helpers: direct LP encodings of the two alternative systems,
-used to confirm decide_alternative verdicts from the other side."""
+solved by HiGHS (`scipy.optimize.linprog`) rather than vopt's own simplex, so
+they confirm decide_alternative verdicts independently of the code under
+test."""
 
 import numpy as np
+from scipy.optimize import linprog
 
-from vopt.linprog import LpProblem, solve_lp
-from vopt.linprog import _blocks  # test-only: reuse the block normalizer
+MARGIN = 1e-9  # a strict solution must clear this, as decide_alternative asks
+
+
+def _shaped(A, B, C, D):
+    """Blocks as 2-D arrays: A (s, q), B (s, r), C (p, q), D (p, r); an absent
+    or empty block has zero columns (B) or zero rows (C, D)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    s, q = A.shape
+
+    def block(M, rows, cols):
+        M = None if M is None else np.asarray(M, dtype=float)
+        if M is None or M.size == 0:
+            return np.zeros((0 if rows is None else rows, 0 if cols is None else cols))
+        return M.reshape(-1 if rows is None else rows, -1 if cols is None else cols)
+
+    B = block(B, s, None)
+    C = block(C, None, q)
+    D = block(D, C.shape[0], B.shape[1]) if C.shape[0] and B.shape[1] else np.zeros(
+        (C.shape[0], B.shape[1])
+    )
+    return A, B, C, D
 
 
 def strict_system_solvable(A, B=None, C=None, D=None) -> bool:
     """Feasibility of  A_i·x + C_i·u < 0 (all i), B_j·x + D_j·u <= 0, u >= 0,
-    encoded directly as a capped max-margin LP."""
-    A, B, C, D = _blocks(A, B, C, D)
+    as the capped max-margin LP over (x, u, v): max v with A_i·x + C_i·u + v <= 0."""
+    A, B, C, D = _shaped(A, B, C, D)
     s, q = A.shape
     r, p = B.shape[1], C.shape[0]
     if q == 0:
         return True
-    nvar = s + p + 1
-    rows, senses, rhs = [], [], []
-    for i in range(q):
-        rows.append(np.concatenate([A[:, i], C[:, i], [1.0]]))
-        senses.append("<=")
-        rhs.append(0.0)
-    for j in range(r):
-        rows.append(np.concatenate([B[:, j], D[:, j], [0.0]]))
-        senses.append("<=")
-        rhs.append(0.0)
-    cap = np.zeros(nvar)
-    cap[-1] = 1.0
-    rows.append(cap)
-    senses.append("<=")
-    rhs.append(1.0)
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    out = solve_lp(LpProblem(c, np.array(rows), senses, np.array(rhs),
-                             free=tuple(range(s)) + (nvar - 1,), maximize=True))
-    return out.status == "optimal" and out.objective is not None and out.objective > 1e-9
+    A_ub = np.vstack([
+        np.hstack([A.T, C.T, np.ones((q, 1))]),
+        np.hstack([B.T, D.T, np.zeros((r, 1))]),
+    ])
+    c = np.zeros(s + p + 1)
+    c[-1] = -1.0
+    bounds = [(None, None)] * s + [(0, None)] * p + [(None, 1.0)]
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(q + r), bounds=bounds, method="highs")
+    return res.status == 0 and -res.fun > MARGIN
 
 
 def multiplier_system_solvable(A, B=None, C=None, D=None) -> bool:
     """Feasibility of  A y + B z = 0, C y + D z >= 0, y >= 0 normalized, z >= 0."""
-    A, B, C, D = _blocks(A, B, C, D)
+    A, B, C, D = _shaped(A, B, C, D)
     s, q = A.shape
     r, p = B.shape[1], C.shape[0]
     if q == 0:
         return False
-    rows = [np.concatenate([A[i], B[i]]) for i in range(s)]
-    senses = ["="] * s
-    rhs = [0.0] * s
-    for k in range(p):
-        rows.append(np.concatenate([C[k], D[k]]))
-        senses.append(">=")
-        rhs.append(0.0)
-    rows.append(np.concatenate([np.ones(q), np.zeros(r)]))
-    senses.append("=")
-    rhs.append(1.0)
-    out = solve_lp(LpProblem(np.zeros(q + r), np.array(rows), senses, np.array(rhs)))
-    return out.status == "optimal"
+    A_eq = np.vstack([np.hstack([A, B]), np.concatenate([np.ones(q), np.zeros(r)])])
+    b_eq = np.concatenate([np.zeros(s), [1.0]])
+    A_ub = -np.hstack([C, D]) if p else None
+    b_ub = np.zeros(p) if p else None
+    res = linprog(np.zeros(q + r), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    return res.status == 0
 
 
 def random_instance(rng, max_dim=6):

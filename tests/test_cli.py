@@ -51,6 +51,50 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def _one_line_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_overflow_exits_2(tmp_path, capsys):
+    f = tmp_path / "over.vopt"
+    f.write_text("var x1 in [-5, 5]\nmin exp(x1^8)\n")
+    assert main(["analyze", str(f), "--point", "3"]) == 2
+    _one_line_error(capsys)
+
+
+def test_analyze_outside_log_domain_exits_2(tmp_path, capsys):
+    f = tmp_path / "log.vopt"
+    f.write_text("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin log(x1)\nmin x2\n")
+    assert main(["analyze", str(f), "--point=-0.5,0"]) == 2
+    _one_line_error(capsys)
+
+
+def test_weighting_nan_lambda_exits_2(capsys):
+    assert main(["weighting", "exB.vopt", "--lambda", "nan,1"]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("grid", ["-5", "0", "1"])
+def test_grid_below_two_exits_1(grid, capsys):
+    assert main(["weighting", "exB.vopt", "--lambda", "1,0", "--grid", grid]) == 1
+    assert "--grid: must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_exits_1(tol, capsys):
+    assert main(["analyze", "exA.vopt", "--point", "1,0", "--tol", tol]) == 1
+    assert "--tol: must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_alternative_ragged_block_exits_1(tmp_path, capsys):
+    f = tmp_path / "ragged.json"
+    f.write_text('{"A": [[1, 2], [3]]}\n')
+    assert main(["alternative", str(f)]) == 1
+    _one_line_error(capsys)
+
+
 def test_saddle_counterexample(capsys):
     code = main(["saddle", "exA.vopt", "--point", "0,0", "--lambda", "0.5,0.5", "--mu", "0"])
     assert code == 0

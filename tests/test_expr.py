@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vopt.expr import (
     BinOp,
@@ -204,6 +204,7 @@ def test_print_preserves_value(tree, a, b):
 
 @given(_trees, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
        st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 3.0))
+@example(Call("exp", Pow(Const(6.0), 4)), 0.0, 0.0, 1.0, 0.0, 1.0)  # exp(1296) overflows
 @settings(max_examples=150, deadline=None)
 def test_second_derivative_scales_quadratically(tree, a, b, d1, d2, t):
     x, d = [a, b], np.array([d1, d2])

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vopt
+import vopt.expr
 from pathlib import Path
 
 from vopt.ktcheck import (
@@ -167,6 +170,24 @@ def test_classify_not_stationary(exA):
     assert v.directions_tested == 0
 
 
+def test_classify_point_takes_each_gradient_once(exC, monkeypatch):
+    # One LocalModel per point: n + |A(x)| gradients, here 2 + 0 at (1, -1).
+    calls = []
+    real = vopt.expr.grad
+
+    def counted(e, x):
+        calls.append(e)
+        return real(e, x)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("vopt")]:
+        if getattr(mod, "grad", None) is real:
+            monkeypatch.setattr(mod, "grad", counted)
+    v = classify_point(exC, [1.0, -1.0])
+    assert v.directions_tested > 0
+    assert v.per_direction[0].analysis.active.indices == ()
+    assert len(calls) == 2
+
+
 def test_classify_deterministic(exA):
     a = classify_point(exA, [0.0, 0.0], dirs=32, seed=3)
     b = classify_point(exA, [0.0, 0.0], dirs=32, seed=3)
@@ -247,3 +268,34 @@ def test_classification_invariant_under_objective_scaling(c):
     assert classify_point(P, [0.0, 0.0], dirs=8, seed=0).level == FIRST_ORDER_ONLY
     assert classify_point(P, [1.0, 0.0], dirs=8, seed=0).level == SECOND_ORDER_KT
     assert classify_point(P, [0.5, 0.0], dirs=8, seed=0).level == NOT_STATIONARY
+
+
+# ---------------------------------------------------------------------------
+# simplex regressions
+
+# highdim-audit seed 5 problem 11 of the benchmark generator
+HIGHDIM_5_11 = """
+var x1 in [-2.0, 2.0]
+var x2 in [-2.0, 2.0]
+var x3 in [-2.0, 2.0]
+var x4 in [-2.0, 2.0]
+min 0.587*(x1 + 0.702)^2 + 0.484*(x2 - 0.639)^2 + 0.568*(x3 - 0.689)^2 + 0.747*(x4 - 0.543)^2 + 0.105*x3^4 - 0.359*exp(0.331*x1)
+min 0.472*(x1 - 0.778)^2 + 0.483*(x2 + 0.642)^2 + 1.09*(x3 + 0.864)^2 + 0.439*(x4 + 0.816)^2 - 1.378*sin(x2 + x3) + 0.495*log(1 + x4^2)
+st x1^2 + x2^2 + x3^2 + x4^2 - 2.575 <= 0
+st -0.314*x1 - 0.409*x2 + 0.954*x3 - 0.783*x4 - 1.15 <= 0
+"""
+
+
+def test_first_order_when_the_ratio_test_minimum_is_below_minus_one():
+    # A ratio below -1 made the Bland tie window best + 1e-9 (1 + best) fall
+    # below best, so no row tied and the pivot search raised ValueError.
+    P = parse_problem(HIGHDIM_5_11)
+    x = [
+        float.fromhex(h)
+        for h in ("0x1.7814b5d540248p-4", "0x1.315233194a26fp-1",
+                  "-0x1.f273c58938fe4p-6", "-0x1.67b96d551527ep-6")
+    ]
+    pair = first_order_kt(P, x)
+    assert pair is not None
+    assert pair.lam.sum() == pytest.approx(1.0, abs=1e-9)
+    assert pair.residual <= 1e-7

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vopt
+from vopt.expr import grad
 from pathlib import Path
 
 from vopt.problem import (
@@ -11,6 +12,7 @@ from vopt.problem import (
     BadBounds,
     EmptyObjectives,
     InfeasiblePoint,
+    LocalModel,
     ParseError,
     active_set,
     analyze_direction,
@@ -168,6 +170,58 @@ def test_sampling_hits_measure_zero_cone():
         assert min(np.linalg.norm(d - ray), np.linalg.norm(d + ray)) < 1e-6
     nonzero = [da for da in out if np.linalg.norm(da.direction) > 0]
     assert len(nonzero) >= 2
+
+
+def test_sampling_keeps_each_direction_once():
+    # With every gradient zero at the origin every direction is critical.  In
+    # one variable the uniform sample alternates +1, -1 and the axes repeat
+    # them; in the plane seed 0 starts the golden-angle sample on the e1 axis.
+    P1 = parse_problem("var x1 in [-1, 1]\nmin x1^2\nmin x1^4\n")
+    dirs = [float(da.direction[0]) for da in sample_critical_directions(P1, [0.0], count=64)]
+    assert sorted(dirs) == [-1.0, 0.0, 1.0]
+    P2 = parse_problem("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin x1^2 + x2^2\nmin x1^4\n")
+    out = sample_critical_directions(P2, [0.0, 0.0], count=16, seed=0)
+    dirs = np.array([da.direction for da in out])
+    assert len(dirs) == 16 + 4 - 1 + 1  # uniform, axes less the repeated e1, zero
+    gaps = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
+    assert (gaps[~np.eye(len(dirs), dtype=bool)] > 1e-9).all()
+
+
+def test_batched_directions_match_per_row_products():
+    # Reference: the per-row loop the batched products replaced.  The matrix
+    # product may sum in another order, so products agree to a few ulps.
+    P = parse_problem(
+        "var x1 in [-2, 2]\nvar x2 in [-2, 2]\nvar x3 in [-2, 2]\n"
+        "min sin(x1)*x2 + x3^2\nmin exp(x1 - x3) + x2\n"
+        "st x1^2 + x2^2 + x3^2 - 3 <= 0\n"
+    )
+    rng = np.random.default_rng(5)
+    on_boundary = 0
+    for k in range(20):
+        x = rng.uniform(-1.0, 1.0, 3)
+        if k % 2:
+            x *= np.sqrt(3.0) / np.linalg.norm(x)  # on the sphere: constraint active
+        m = LocalModel(P, x)
+        on_boundary += len(m.active.indices)
+        D = rng.normal(size=(16, 3))
+        D[0] = 0.0
+        rows = [grad(f, m.point) for f in P.objectives]
+        rows += [grad(P.constraints[j], m.point) for j in m.active.indices]
+        norms = np.array([np.linalg.norm(g) for g in rows])
+        tols = 1e-8 * (1.0 + norms)
+        n = P.n_objectives
+        for d, da in zip(D, m.directions(D)):
+            norm = np.linalg.norm(d)
+            unit = d / norm if norm > 0 else d
+            np.testing.assert_array_equal(da.direction, unit)
+            ref = np.array([float(g @ unit) for g in rows])
+            got = np.concatenate([da.f_products, da.g_products])
+            np.testing.assert_allclose(got, ref, rtol=0, atol=16 * np.finfo(float).eps * (1.0 + norms.max()))
+            assert da.is_critical == bool((ref <= tols).all())
+            zero = [r for r in range(len(ref)) if abs(ref[r]) <= tols[r]]
+            assert da.zero_objectives == tuple(r for r in zero if r < n)
+            assert da.zero_constraints == tuple(m.active.indices[r - n] for r in zero if r >= n)
+    assert on_boundary == 10
 
 
 def test_sampling_deterministic_per_seed():
