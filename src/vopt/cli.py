@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -24,7 +25,8 @@ from .expr import ExprError
 from .gridsearch import find_kt_points
 from .invexity import check_class, inclusion_audit
 from .ktcheck import classify_point
-from .linprog import MultiplierWitness, NumericalBreakdown, decide_alternative, verify_certificate
+from .linprog import (BlockShapeError, MultiplierWitness, NumericalBreakdown, decide_alternative,
+                      verify_certificate)
 from .problem import (
     BadBounds,
     EmptyObjectives,
@@ -92,6 +94,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a value such as "-1,0" for an option: glue it to its flag
+        args = list(sys.argv[1:] if args is None else args)
+        for k in range(len(args) - 1, 0, -1):
+            if args[k - 1] in ("--point", "--lambda", "--mu") and re.match(r"-[\d.]", args[k]):
+                args[k - 1 : k + 1] = [f"{args[k - 1]}={args[k]}"]
+        return super().parse_known_args(args, namespace)
 
 
 def _jsonable(obj):
@@ -323,9 +333,9 @@ def _cmd_alternative(args):
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise UsageError(f"bad matrices file {args.matrices}: {e}") from e
-    if not isinstance(data, dict) or "A" not in data:
-        raise UsageError("matrices file must be an object with at least block A")
-    A = _matrix(data, "A")
+    A = _matrix(data, "A") if isinstance(data, dict) else None
+    if A is None:
+        raise UsageError("matrices file must be an object with a nonempty block A")
     B, C, D = _matrix(data, "B"), _matrix(data, "C"), _matrix(data, "D")
     cert = decide_alternative(A, B, C, D)
     verified = verify_certificate(cert, A, B, C, D)
@@ -415,7 +425,8 @@ def _tolerance(text: str) -> float:
 
 
 def _add_common(sub, grid=True, dirs=True):
-    sub.add_argument("--tol", type=_tolerance, default=1e-8, help="feasibility/stationarity tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=1e-8,
+                     help="feasibility/stationarity tolerance")
     if grid:
         sub.add_argument(
             "--grid",
@@ -501,10 +512,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         payload, lines, digest = _DISPATCH[args.cmd](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, EmptyObjectives, BadBounds, OSError) as e:
+    except (UsageError, ParseError, EmptyObjectives, BadBounds, BlockShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (InfeasiblePoint, NoFeasiblePointInBox, BadWeights, ExprError) as e:

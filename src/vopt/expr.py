@@ -1,9 +1,10 @@
 """Closed-form scalar expressions over named variables.
 
-Expressions are immutable trees built by :func:`parse_expr`. Evaluation is
-plain recursion; first and second directional derivatives are propagated
-exactly through a degree-two Taylor jet (value, first, second coefficient
-along a ray), so no differencing error enters `grad` or `second_dir_deriv`.
+Expressions are immutable trees built by :func:`parse_expr`. Each tree is
+compiled once per arithmetic into nested closures: strict floats for
+`evaluate`, numpy rows for `eval_grid`, and a degree-two Taylor jet (value,
+first, second coefficient along a ray) for `grad`, `second_dir_deriv` and
+`hessian`, so no differencing error enters the derivatives.
 A Richardson-extrapolated limit quotient is provided separately as an
 independent cross-check of the jet.
 """
@@ -11,7 +12,10 @@ independent cross-check of the jet.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -89,37 +93,45 @@ class NonConvergent(ExprError):
 # tree
 
 
+class _Node:
+    """Holds `_closures`, compiled per arithmetic; not a field, so ==, hash and repr ignore it."""
+
+    @cached_property
+    def _closures(self) -> dict:
+        return {}
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "Expr"
     exponent: int  # integer exponents only
 
@@ -312,74 +324,104 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one compile step, three arithmetics
+#
+# `_compile(e, A)` walks the tree once into nested closures env -> value of `e`
+# in arithmetic A, kept per node, so later calls dispatch on nothing.  env is x
+# for strict floats, X for grid rows and (x, d) for degree-two jets (a, b, c):
+# h(x + t d) = a + b t + (c/2) t^2 + O(t^3), so b and c are the first and second
+# directional derivatives along d.  The domain rules live once, in `_quotient`,
+# `_power` and `_call_value`; the jets reuse them for their value component.
 
 
-def evaluate(e: Expr, x) -> float:
-    """Strict scalar evaluation; raises DomainError outside the real domain."""
-    match e:
-        case Const(v):
-            return v
-        case Var(i, name):
-            if i >= len(x):
-                raise UnknownVariable(name)
-            return float(x[i])
-        case Neg(a):
-            return -evaluate(a, x)
-        case BinOp("+", l, r):
-            return evaluate(l, x) + evaluate(r, x)
-        case BinOp("-", l, r):
-            return evaluate(l, x) - evaluate(r, x)
-        case BinOp("*", l, r):
-            return evaluate(l, x) * evaluate(r, x)
-        case BinOp("/", l, r):
-            d = evaluate(r, x)
-            if d == 0.0:
-                raise DomainError("division by zero")
-            return evaluate(l, x) / d
-        case Pow(b, n):
-            v = evaluate(b, x)
-            if v == 0.0 and n < 0:
-                raise DomainError("zero base with negative exponent")
-            return _power(v, n)
-        case Call(fn, a):
-            v = evaluate(a, x)
-            return _call_value(fn, v)
-    raise TypeError(f"not an expression node: {e!r}")
+@dataclass(frozen=True, eq=False)
+class _Arithmetic:
+    const: Callable  # (v, env) -> value
+    var: Callable  # (i, name, env) -> value
+    neg: Callable  # value -> value
+    binop: dict[str, Callable]  # op -> (value, value) -> value
+    pow: Callable  # (value, n) -> value
+    call: Callable  # (fn, value) -> value
+
+
+def _compile(e: Expr, A: _Arithmetic):
+    fn = e._closures.get(A)
+    if fn is None:
+        match e:
+            case Const(v):
+                fn = partial(A.const, v)
+            case Var(i, name):
+                fn = partial(A.var, i, name)
+            case Neg(a):
+                f, neg = _compile(a, A), A.neg
+                fn = lambda env: neg(f(env))
+            case BinOp(op, l, r):
+                f, g, rule = _compile(l, A), _compile(r, A), A.binop[op]
+                fn = lambda env: rule(f(env), g(env))
+            case Pow(b, n):
+                f, power = _compile(b, A), A.pow
+                fn = lambda env: power(f(env), n)
+            case Call(name, a):
+                f, call = _compile(a, A), A.call
+                fn = lambda env: call(name, f(env))
+        e._closures[A] = fn
+    return fn
+
+
+def _float_var(i: int, name: str, x) -> float:
+    if i >= len(x):
+        raise UnknownVariable(name)
+    return float(x[i])
+
+
+def _quotient(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
 
 
 def _power(v: float, n: int) -> float:
+    if v == 0.0 and n < 0:
+        raise DomainError("zero base with negative exponent")
     try:
         return float(v**n)
     except OverflowError:
         raise DomainError(f"{v}^{n} overflows") from None
 
 
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise DomainError(f"exp of {v} overflows") from None
-
-
 def _call_value(fn: str, v: float) -> float:
-    if fn == "sin":
-        return math.sin(v)
-    if fn == "cos":
-        return math.cos(v)
-    if fn == "exp":
-        return _exp(v)
-    if fn == "abs":
-        return abs(v)
-    if fn == "log":
-        if v <= 0.0:
-            raise DomainError(f"log of {v}")
-        return math.log(v)
-    if fn == "sqrt":
-        if v <= 0.0:
-            raise DomainError(f"sqrt of {v}")
-        return math.sqrt(v)
-    raise TypeError(fn)
+    if fn in ("log", "sqrt") and v <= 0.0:
+        raise DomainError(f"{fn} of {v}")
+    try:
+        return (abs if fn == "abs" else getattr(math, fn))(v)
+    except OverflowError:
+        raise DomainError(f"{fn} of {v} overflows") from None
+    except ValueError:  # sin or cos of an infinity
+        raise DomainError(f"{fn} of {v}") from None
+
+
+def _call_row(fn: str, v: np.ndarray) -> np.ndarray:
+    if fn in ("log", "sqrt"):
+        v = np.where(v > 0.0, v, np.nan)
+    return getattr(np, fn)(v)
+
+
+_RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FLOATS = _Arithmetic(
+    const=lambda v, x: v, var=_float_var, neg=operator.neg,
+    binop={**_RING, "/": _quotient}, pow=_power, call=_call_value,
+)
+_ROWS = _Arithmetic(
+    const=lambda v, X: np.full(X.shape[1], v),
+    var=lambda i, name, X: X[i].astype(float, copy=True),
+    neg=operator.neg, binop={**_RING, "/": operator.truediv},
+    pow=lambda v, n: v ** float(n), call=_call_row,
+)
+
+
+def evaluate(e: Expr, x) -> float:
+    """Strict scalar evaluation; raises DomainError outside the real domain."""
+    return _compile(e, _FLOATS)(x)
 
 
 def eval_grid(e: Expr, X: np.ndarray) -> np.ndarray:
@@ -389,65 +431,14 @@ def eval_grid(e: Expr, X: np.ndarray) -> np.ndarray:
     masks non-finite values.
     """
     with np.errstate(all="ignore"):
-        return _eval_arr(e, X)
+        return _compile(e, _ROWS)(X)
 
-
-def _eval_arr(e: Expr, X: np.ndarray) -> np.ndarray:
-    match e:
-        case Const(v):
-            return np.full(X.shape[1], v)
-        case Var(i, _):
-            return X[i].astype(float, copy=True)
-        case Neg(a):
-            return -_eval_arr(a, X)
-        case BinOp("+", l, r):
-            return _eval_arr(l, X) + _eval_arr(r, X)
-        case BinOp("-", l, r):
-            return _eval_arr(l, X) - _eval_arr(r, X)
-        case BinOp("*", l, r):
-            return _eval_arr(l, X) * _eval_arr(r, X)
-        case BinOp("/", l, r):
-            return _eval_arr(l, X) / _eval_arr(r, X)
-        case Pow(b, n):
-            return _eval_arr(b, X) ** float(n)
-        case Call(fn, a):
-            v = _eval_arr(a, X)
-            if fn == "abs":
-                return np.abs(v)
-            if fn in ("log", "sqrt"):
-                v = np.where(v > 0.0, v, np.nan)
-            return getattr(np, fn)(v)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# exact derivatives via a degree-two jet
-#
-# _jet(e, x, d) returns (a, b, c) with h(x + t d) = a + b t + (c/2) t^2 + O(t^3),
-# i.e. b is the first and c the second directional derivative along d.
 
 _J = tuple[float, float, float]
 
 
 def _jet(e: Expr, x, d) -> _J:
-    match e:
-        case Const(v):
-            return (v, 0.0, 0.0)
-        case Var(i, name):
-            if i >= len(x):
-                raise UnknownVariable(name)
-            return (float(x[i]), float(d[i]), 0.0)
-        case Neg(a):
-            a1, b1, c1 = _jet(a, x, d)
-            return (-a1, -b1, -c1)
-        case BinOp(op, l, r):
-            u, v = _jet(l, x, d), _jet(r, x, d)
-            return _jet_bin(op, u, v)
-        case Pow(base, n):
-            return _jet_pow(_jet(base, x, d), n)
-        case Call(fn, arg):
-            return _jet_call(fn, _jet(arg, x, d))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _compile(e, _JETS)((x, d))
 
 
 def _jet_bin(op: str, u: _J, v: _J) -> _J:
@@ -459,9 +450,7 @@ def _jet_bin(op: str, u: _J, v: _J) -> _J:
         return (a1 - a2, b1 - b2, c1 - c2)
     if op == "*":
         return (a1 * a2, a1 * b2 + b1 * a2, a1 * c2 + 2.0 * b1 * b2 + c1 * a2)
-    if a2 == 0.0:
-        raise DomainError("division by zero")
-    a = a1 / a2
+    a = _quotient(a1, a2)
     b = (b1 - a * b2) / a2
     c = (c1 - a * c2 - 2.0 * b * b2) / a2
     return (a, b, c)
@@ -473,54 +462,48 @@ def _jet_pow(u: _J, n: int) -> _J:
         return (1.0, 0.0, 0.0)
     if n == 1:
         return u
-    if a == 0.0 and n < 0:
-        raise DomainError("zero base with negative exponent")
-    # 0^0 := 1 below covers a = 0 with n = 2
-    p2 = _power(a, n - 2) if (a != 0.0 or n >= 2) else 0.0
+    p2 = _power(a, n - 2)  # 0^0 = 1 covers a = 0 with n = 2
     p1 = p2 * a
     p0 = p1 * a
+    if math.isinf(p0):
+        _power(a, n)  # overflow is decided by the strict rule, as in `evaluate`
     return (p0, n * p1 * b, n * (n - 1) * p2 * b * b + n * p1 * c)
 
 
 def _jet_call(fn: str, u: _J) -> _J:
     a, b, c = u
+    v = _call_value(fn, a)
     if fn == "abs":
         if a == 0.0:
             raise NondifferentiablePoint("abs at zero")
         s = 1.0 if a > 0.0 else -1.0
-        return (abs(a), s * b, s * c)
+        return (v, s * b, s * c)
     if fn == "sin":
-        sa, ca = math.sin(a), math.cos(a)
-        return (sa, ca * b, -sa * b * b + ca * c)
+        ca = math.cos(a)
+        return (v, ca * b, -v * b * b + ca * c)
     if fn == "cos":
-        sa, ca = math.sin(a), math.cos(a)
-        return (ca, -sa * b, -ca * b * b - sa * c)
+        sa = math.sin(a)
+        return (v, -sa * b, -v * b * b - sa * c)
     if fn == "exp":
-        ea = _exp(a)
-        return (ea, ea * b, ea * (b * b + c))
+        return (v, v * b, v * (b * b + c))
     if fn == "log":
-        if a <= 0.0:
-            raise DomainError(f"log of {a}")
-        return (math.log(a), b / a, -b * b / (a * a) + c / a)
-    if fn == "sqrt":
-        if a <= 0.0:
-            raise DomainError(f"sqrt of {a}")
-        r = math.sqrt(a)
-        d1 = 0.5 / r
-        return (r, d1 * b, -0.25 / (a * r) * b * b + d1 * c)
-    raise TypeError(fn)
+        return (v, b / a, _quotient(-b * b, a * a) + c / a)  # a * a may underflow to 0
+    d1 = 0.5 / v  # sqrt
+    return (v, d1 * b, _quotient(-0.25, a * v) * b * b + d1 * c)
+
+
+_JETS = _Arithmetic(
+    const=lambda v, xd: (v, 0.0, 0.0),
+    var=lambda i, name, xd: (_float_var(i, name, xd[0]), float(xd[1][i]), 0.0),
+    neg=lambda u: (-u[0], -u[1], -u[2]),
+    binop={op: partial(_jet_bin, op) for op in "+-*/"}, pow=_jet_pow, call=_jet_call,
+)
 
 
 def grad(e: Expr, x) -> np.ndarray:
     """Exact gradient, one directional jet pass per coordinate."""
     x = np.asarray(x, dtype=float)
-    g = np.empty(x.shape[0])
-    d = np.zeros(x.shape[0])
-    for i in range(x.shape[0]):
-        d[i] = 1.0
-        g[i] = _jet(e, x, d)[1]
-        d[i] = 0.0
-    return g
+    return np.array([_jet(e, x, d)[1] for d in np.eye(x.shape[0])])
 
 
 def second_dir_deriv(e: Expr, x, d) -> float:

@@ -62,16 +62,10 @@ def get_grid(P: ProblemDef, grid: int | None = None) -> GridData:
     axes = tuple(np.linspace(P.lower[k], P.upper[k], g) for k in range(P.dim))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
-    F = np.stack([eval_grid(f, pts) for f in P.objectives]) if P.n_objectives else np.zeros((0, pts.shape[1]))
-    G = (
-        np.stack([eval_grid(c, pts) for c in P.constraints])
-        if P.n_constraints
-        else np.zeros((0, pts.shape[1]))
-    )
-    ok = np.isfinite(F).all(axis=0)
-    if P.n_constraints:
-        ok &= np.isfinite(G).all(axis=0)
-        ok &= (G <= FEAS_EPS * (1.0 + np.abs(G))).all(axis=0)
+    F, G = (np.array([eval_grid(e, pts) for e in es]).reshape(len(es), pts.shape[1])
+            for es in (P.objectives, P.constraints))
+    ok = np.isfinite(F).all(axis=0) & np.isfinite(G).all(axis=0)
+    ok &= (G <= FEAS_EPS * (1.0 + np.abs(G))).all(axis=0)
     data = GridData(axes=axes, pts=pts, F=F, G=G, feasible=ok, grid=g)
     per_problem[g] = data
     return data
@@ -180,7 +174,8 @@ def _fd_gradients(P: ProblemDef, data: GridData, h: float = 1e-6):
         hp[k] += hk
         hm[k] -= hk
         for e_i, e in enumerate(exprs):
-            out[e_i, k] = (eval_grid(e, hp) - eval_grid(e, hm)) / (2.0 * hk)
+            with np.errstate(all="ignore"):  # inf - inf; the scan skips non-finite cells
+                out[e_i, k] = (eval_grid(e, hp) - eval_grid(e, hm)) / (2.0 * hk)
     return out
 
 

@@ -467,7 +467,8 @@ def pointwise_eta_feasibility(
 
     rows = np.column_stack([np.vstack([fg, gg]), np.concatenate([f2, g2])])
     rhs = np.concatenate([fy - fx, gy[act]])
-    out = solve_lp(LpProblem(c=np.zeros(s + 1), A=rows, senses=["<="] * len(rows), b=rhs, free=range(s)))
+    lp = LpProblem(c=np.zeros(s + 1), A=rows, senses=["<="] * len(rows), b=rhs, free=range(s))
+    out = solve_lp(lp)
     if out.status == "optimal":
         eta, omega = out.x[:s], float(out.x[s])
         slack = rows @ out.x[: s + 1] - rhs

@@ -1,10 +1,10 @@
 """First- and second-order Kuhn-Tucker stationarity decided by LP feasibility.
 
-Stationarity rows Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 are relaxed to the
-point's stationarity band, tol·(1 + max gradient norm), so polished
-floating-point stationary points are not rejected on roundoff; returned
-pairs always carry the honestly recomputed residual.  The curvature row L''(x; d) >= 0 is exact, so returned pairs
-satisfy it up to solver feasibility tolerance.
+Stationarity rows Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 are relaxed to the point's
+stationarity band, tol·(1 + max gradient norm), so polished floating-point
+stationary points are not rejected on roundoff; returned pairs always carry the
+honestly recomputed residual.  The curvature row L''(x; d) >= 0 is exact, so
+returned pairs satisfy it up to solver feasibility tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linprog import LpProblem, MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative, solve_lp
+from .linprog import (LpProblem, MultiplierWitness, NumericalBreakdown, StrictWitness,
+                      decide_alternative, solve_lp)
 from .problem import (
     DEFAULT_TOL,
     DirectionAnalysis,
@@ -206,7 +207,8 @@ def _multiplier_lp(
             sum(lam[i] * f2[i] for i in range(n))
             + sum(mu[act_idx[k]] * g2[k] for k in range(len(act_idx)))
         )
-    return MultiplierPair(lam=lam, mu=mu, normalization=normalization, residual=residual, curvature=curvature)
+    return MultiplierPair(lam=lam, mu=mu, normalization=normalization, residual=residual,
+                          curvature=curvature)
 
 
 def second_order_multipliers(
@@ -258,9 +260,8 @@ def classify_point(
     m = LocalModel(P, x, tol)
     fo = _multiplier_lp(m, None, None, normalization)
     if fo is None:
-        return StationarityVerdict(
-            point=m.point, level=NOT_STATIONARY, first_order=None, per_direction=(), directions_tested=0
-        )
+        return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
+                                   per_direction=(), directions_tested=0)
     outcomes = tuple(
         DirectionOutcome(analysis=da, multipliers=_second_order(da, mode, normalization))
         for da in m.critical_directions(dirs, seed)

@@ -23,6 +23,7 @@ __all__ = [
     "LpProblem",
     "LpOutcome",
     "NumericalBreakdown",
+    "BlockShapeError",
     "solve_lp",
     "StrictWitness",
     "MultiplierWitness",
@@ -220,8 +221,14 @@ class MultiplierWitness:
     z: np.ndarray
 
 
+class BlockShapeError(ValueError):
+    """A block's entries do not fill whole rows and columns against A."""
+
+
 def _blocks(A, B, C, D):
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.ndim != 2:
+        raise BlockShapeError(f"block A has {A.ndim} axes, not 2")
     s, q = A.shape
 
     def fit(M, rows, cols, by_rows):
@@ -230,6 +237,9 @@ def _blocks(A, B, C, D):
         M = np.asarray(M, dtype=float)
         if M.size == 0:
             return np.zeros((rows, cols))
+        n = rows if by_rows else cols
+        if n == 0 or M.size % n or (by_rows and M.size // n < cols):  # D narrower than B
+            raise BlockShapeError(f"a block of {M.size} entries does not fit A of shape {s}x{q}")
         return M.reshape(rows, -1) if by_rows else M.reshape(-1, cols)
 
     B = fit(B, s, 0, True)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import Expr, ExprError, NondifferentiablePoint, evaluate, grad, parse_expr, second_dir_deriv
+from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, parse_expr,
+                   second_dir_deriv)
 
 __all__ = [
     "ProblemDef",
@@ -271,9 +272,8 @@ class LocalModel:
         objective, g_j''(x; d) for every active constraint)."""
         try:
             f2 = np.array([second_dir_deriv(f, self.point, d) for f in self.P.objectives])
-            g2 = np.array(
-                [second_dir_deriv(self.P.constraints[j], self.point, d) for j in self.active.indices]
-            )
+            g2 = np.array([second_dir_deriv(self.P.constraints[j], self.point, d)
+                           for j in self.active.indices])
         except NondifferentiablePoint as e:
             raise MissingSecondDerivative(str(e)) from e
         return f2, g2

@@ -176,7 +176,8 @@ def solve_unconstrained(P: ProblemDef, lam, mu=None, grid: int | None = None) ->
     )
 
 
-def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None, tol: float = DEFAULT_TOL) -> SaddleVerdict:
+def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
+                 tol: float = DEFAULT_TOL) -> SaddleVerdict:
     """Decide L(xbar, mu) <= L(xbar, mubar) <= L(x, mubar) over mu >= 0 and
     box x.  The left side is closed-form: the sup over mu >= 0 of
     <mu, g(xbar)> is attained at mubar iff g(xbar) <= 0 and the pairing is

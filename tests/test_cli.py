@@ -71,6 +71,26 @@ def test_analyze_outside_log_domain_exits_2(tmp_path, capsys):
     _one_line_error(capsys)
 
 
+def test_analyze_sine_of_infinity_exits_2(tmp_path, capsys):
+    f = tmp_path / "sin.vopt"
+    f.write_text("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin sin(1e300*1e300*x1) + x2^2\nmin x2\n")
+    assert main(["analyze", str(f), "--point", "1,0"]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("spaced, glued", [
+    (["analyze", "exA.vopt", "--point", "-1,0"], ["analyze", "exA.vopt", "--point=-1,0"]),
+    (["saddle", "exA.vopt", "--point", "-1,0", "--lambda", "-0,1", "--mu", "-.0"],
+     ["saddle", "exA.vopt", "--point=-1,0", "--lambda=-0,1", "--mu=-.0"]),
+])
+def test_negative_list_after_flag_is_a_value(spaced, glued, tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main([*spaced, "--json", str(a)]) == 0
+    assert main([*glued, "--json", str(b)]) == 0
+    capsys.readouterr()
+    assert json.loads(a.read_text())["payload"] == json.loads(b.read_text())["payload"]
+
+
 def test_weighting_nan_lambda_exits_2(capsys):
     assert main(["weighting", "exB.vopt", "--lambda", "nan,1"]) == 2
     _one_line_error(capsys)
@@ -93,6 +113,28 @@ def test_alternative_ragged_block_exits_1(tmp_path, capsys):
     f.write_text('{"A": [[1, 2], [3]]}\n')
     assert main(["alternative", str(f)]) == 1
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("blocks", [
+    '{"A": [[1, 2], [3, 4]], "B": [[1, 2, 3]]}',  # B does not fill A's rows
+    '{"A": [[1, 2], [3, 4]], "C": [[1, 2, 3]]}',  # C of the wrong width
+    '{"A": [[1]], "B": [[1, 2]], "C": [[1]], "D": [[1]]}',  # D narrower than B
+    '{"A": [[[1]]]}',  # A with three axes
+    '{"A": []}',  # A is required
+])
+def test_alternative_misshapen_blocks_exit_1(blocks, tmp_path, capsys):
+    f = tmp_path / "blocks.json"
+    f.write_text(blocks + "\n")
+    assert main(["alternative", str(f)]) == 1
+    _one_line_error(capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_with_a_pole_leaks_no_warning(tmp_path, capsys):
+    f = tmp_path / "pole.vopt"
+    f.write_text("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin 1/x1 + x2^2\nmin x2^2 + x1\n")
+    assert main(["scan", str(f)]) == 0
+    assert "stationary point(s)" in capsys.readouterr().out
 
 
 def test_saddle_counterexample(capsys):

@@ -9,6 +9,7 @@ from vopt.expr import (
     Call,
     Const,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     Neg,
     NondifferentiablePoint,
@@ -66,6 +67,18 @@ def test_domain_errors():
             evaluate(parse_expr(src, V2), x)
     with pytest.raises(NondifferentiablePoint):
         grad(parse_expr("abs(x1)", V2), [0.0, 0.0])
+    # math.sin raises ValueError at an infinity; that is the domain left too
+    e = parse_expr("sin(1e300 * 1e300 * x1)", V2)
+    with pytest.raises(DomainError):
+        evaluate(e, [1.0, 0.0])
+    assert np.isnan(eval_grid(e, np.array([[1.0], [0.0]]))[0])
+
+
+def test_too_short_point_is_an_unknown_variable():
+    e = parse_expr("x1 + x2", V2)
+    for f in (evaluate, grad):
+        with pytest.raises(UnknownVariable):
+            f(e, [1.0])
 
 
 def test_quartic_gradients():
@@ -184,6 +197,24 @@ def _inner(children):
 _trees = st.recursive(_leaf, _inner, max_leaves=25)
 
 
+def _inner_with_domains(children):
+    return st.one_of(
+        _inner(children),
+        st.tuples(st.sampled_from(["log", "sqrt"]), children).map(lambda t: Call(t[0], t[1])),
+        st.tuples(children, st.integers(-3, -1)).map(lambda t: Pow(t[0], t[1])),
+    )
+
+
+_domain_trees = st.recursive(_leaf, _inner_with_domains, max_leaves=25)
+
+
+def _subtrees(tree):
+    yield tree
+    for child in vars(tree).values():
+        if isinstance(child, (Const, Var, Neg, Call, BinOp, Pow)):
+            yield from _subtrees(child)
+
+
 @given(_trees)
 @settings(max_examples=200, deadline=None)
 def test_print_parse_round_trip(tree):
@@ -215,3 +246,35 @@ def test_second_derivative_scales_quadratically(tree, a, b, d1, d2, t):
         return
     if math.isfinite(q1) and math.isfinite(q2):
         assert q2 == pytest.approx(t * t * q1, rel=1e-9, abs=1e-9 * (1 + abs(q1)))
+
+
+@given(_domain_trees, st.floats(-2, 2), st.floats(-2, 2), st.floats(-1, 1))
+@example(Pow(BinOp("/", Var(0, "x1"), Var(1, "x2")), 2), 1.0, 1e-308, 0.0)  # jet overflow
+@settings(max_examples=300, deadline=None)
+def test_domain_rules_agree_across_arithmetics(tree, a, b, d2):
+    x = [a, b]
+    try:
+        evaluate(tree, x)
+    except DomainError:
+        # the grid marks the failing node non-finite; IEEE may absorb that
+        # further up (exp(-inf) = 0), so look at every node
+        X = np.array([[a], [b]])
+        assert not all(np.isfinite(eval_grid(t, X)[0]) for t in _subtrees(tree))
+        with pytest.raises(ExprError):
+            second_dir_deriv(tree, x, [1.0, d2])
+
+
+@given(_domain_trees, st.floats(-2, 2), st.floats(-2, 2))
+@example(Call("log", Var(1, "x2")), 0.0, 3e-166)  # the log jet's a * a underflows to 0
+@settings(max_examples=100, deadline=None)
+def test_evaluation_leaves_equality_hash_and_text_unchanged(tree, a, b):
+    twin = parse_expr(to_text(tree), V2)
+    before = (tree == twin, hash(tree), hash(twin), repr(tree))
+    for f in (lambda: evaluate(tree, [a, b]), lambda: grad(tree, [a, b]),
+              lambda: eval_grid(tree, np.array([[a], [b]]))):
+        try:
+            f()
+        except ExprError:
+            pass
+    assert (tree == twin, hash(tree), hash(twin), repr(tree)) == before
+    assert parse_expr(to_text(tree), V2) == tree
