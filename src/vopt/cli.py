@@ -96,11 +96,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse takes a value such as "-1,0" for an option: glue it to its flag
+        # argparse takes a value such as "-1,0" for an option: glue it to its flag,
+        # named in full or by the unique prefix argparse would accept
         args = list(sys.argv[1:] if args is None else args)
+        acts = self._option_string_actions
         for k in range(len(args) - 1, 0, -1):
-            if args[k - 1] in ("--point", "--lambda", "--mu") and re.match(r"-[\d.]", args[k]):
-                args[k - 1 : k + 1] = [f"{args[k - 1]}={args[k]}"]
+            flag = args[k - 1]
+            named = [flag] if flag in acts else [
+                o for o in acts if flag.startswith("--") and o.startswith(flag)]
+            if len(named) == 1 and acts[named[0]].nargs is None and re.match(r"-[\d.]", args[k]):
+                args[k - 1 : k + 1] = [f"{flag}={args[k]}"]
         return super().parse_known_args(args, namespace)
 
 
@@ -144,23 +149,16 @@ def _load(path: str):
     return load_problem(p), hashlib.sha256(raw).hexdigest()
 
 
-def _pair_dict(pair):
-    if pair is None:
-        return None
-    return {
-        "lam": pair.lam,
-        "mu": pair.mu,
-        "normalization": pair.normalization,
-        "residual": pair.residual,
-        "curvature": pair.curvature,
-    }
+def _fields(obj, names: str):
+    """The named attributes of obj as a dict (None for None)."""
+    return None if obj is None else {k: getattr(obj, k) for k in names.split()}
 
 
 def _classification_dict(v):
     return {
         "point": v.point,
         "level": v.level,
-        "first_order": _pair_dict(v.first_order),
+        "first_order": _fields(v.first_order, "lam mu normalization residual curvature"),
         "directions_tested": v.directions_tested,
         "directions_failing": [
             i for i, o in enumerate(v.per_direction) if o.multipliers is None
@@ -168,31 +166,13 @@ def _classification_dict(v):
     }
 
 
-def _witness_dict(w):
-    if w is None:
-        return None
-    return {
-        "point": w.point,
-        "lam": w.lam,
-        "mu": w.mu,
-        "rival": w.rival,
-        "point_values": w.point_values,
-        "rival_values": w.rival_values,
-        "gap": w.gap,
-    }
-
-
 def _verdict_dict(v):
     return {
         "class": v.klass,
         "status": v.status,
-        "witness": _witness_dict(v.witness),
-        "resolution": {
-            "grid": v.resolution.grid,
-            "stationary_points": v.resolution.stationary_points,
-            "directions_per_point": v.resolution.directions_per_point,
-            "pair_samples": v.resolution.pair_samples,
-        },
+        "witness": _fields(v.witness, "point lam mu rival point_values rival_values gap"),
+        "resolution": _fields(
+            v.resolution, "grid stationary_points directions_per_point pair_samples"),
     }
 
 
@@ -209,15 +189,8 @@ def _cmd_analyze(args):
         rel = relation_chain(
             P, verdict.first_order.lam, verdict.first_order.mu, x, grid=args.grid, tol=args.tol
         )
-        relation = {
-            "in_scalarized_argmin": rel.in_scalarized_argmin,
-            "in_weighting_argmin": rel.in_weighting_argmin,
-            "weak_pareto": rel.weak_pareto,
-            "kt": rel.kt,
-            "domination_witness": rel.domination_witness,
-            "anomalies": rel.anomalies,
-            "grid": rel.grid,
-        }
+        relation = _fields(rel, "in_scalarized_argmin in_weighting_argmin weak_pareto kt"
+                                " domination_witness anomalies grid")
     payload = {"classification": _classification_dict(verdict), "relation": relation}
     lines = [f"{_fmt_point(x)}: level={verdict.level}"]
     if verdict.first_order is not None:
@@ -281,18 +254,8 @@ def _cmd_saddle(args):
         else np.zeros(P.n_constraints)
     )
     v = check_saddle(P, lam, x, mu, grid=args.grid, tol=args.tol)
-    payload = {
-        "point": x,
-        "lam": lam,
-        "mu": mu,
-        "left_ok": v.left_ok,
-        "right_status": v.right_status,
-        "counterexample": v.counterexample,
-        "gap": v.gap,
-        "grid": v.grid,
-        "polish_seeds": v.polish_seeds,
-        "is_saddle": v.is_saddle,
-    }
+    payload = {"point": x, "lam": lam, "mu": mu, **_fields(
+        v, "left_ok right_status counterexample gap grid polish_seeds is_saddle")}
     lines = [f"saddle at {_fmt_point(x)}: {'yes' if v.is_saddle else 'no'}"]
     if v.counterexample is not None:
         lines.append(f"  counterexample {_fmt_point(v.counterexample)} gap={v.gap:.6g}")

@@ -8,7 +8,6 @@ more.  All orderings are lexicographic so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +15,12 @@ from scipy.optimize import nnls
 
 from .expr import ExprError, eval_grid, evaluate, grad, hessian
 from .ktcheck import first_order_kt
+from .memo import GRIDS, RESULTS, memo
 from .problem import InfeasiblePoint, ProblemDef
 
 __all__ = [
     "GridData",
-    "default_grid",
+    "grid_size",
     "get_grid",
     "descend",
     "weighted_phi",
@@ -29,16 +29,6 @@ __all__ = [
 ]
 
 FEAS_EPS = 1e-9
-
-
-def default_grid(s: int) -> int:
-    if s <= 2:
-        return 201
-    if s == 3:
-        return 61
-    if s == 4:
-        return 21
-    return 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,14 +41,17 @@ class GridData:
     grid: int
 
 
-_cache: "weakref.WeakKeyDictionary[ProblemDef, dict[int, GridData]]" = weakref.WeakKeyDictionary()
+def grid_size(P: ProblemDef, grid: int | None = None) -> int:
+    """Points per axis: `grid`, or the default for the problem's dimension."""
+    return int(grid) if grid else {3: 61, 4: 21}.get(P.dim, 201 if P.dim <= 2 else 11)
 
 
 def get_grid(P: ProblemDef, grid: int | None = None) -> GridData:
-    g = int(grid) if grid else default_grid(P.dim)
-    per_problem = _cache.setdefault(P, {})
-    if g in per_problem:
-        return per_problem[g]
+    return _grid(P, grid_size(P, grid))
+
+
+@memo(GRIDS)
+def _grid(P: ProblemDef, g: int) -> GridData:
     axes = tuple(np.linspace(P.lower[k], P.upper[k], g) for k in range(P.dim))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
@@ -66,9 +59,7 @@ def get_grid(P: ProblemDef, grid: int | None = None) -> GridData:
             for es in (P.objectives, P.constraints))
     ok = np.isfinite(F).all(axis=0) & np.isfinite(G).all(axis=0)
     ok &= (G <= FEAS_EPS * (1.0 + np.abs(G))).all(axis=0)
-    data = GridData(axes=axes, pts=pts, F=F, G=G, feasible=ok, grid=g)
-    per_problem[g] = data
-    return data
+    return GridData(axes=axes, pts=pts, F=F, G=G, feasible=ok, grid=g)
 
 
 def weighted_phi(P: ProblemDef, lam, mu):
@@ -154,11 +145,6 @@ def cluster_minima(points, values, radius: float = 1e-4, window: float = 1e-6, c
 
 # ---------------------------------------------------------------------------
 # stationary-point discovery
-
-
-def _coarse_grid(P: ProblemDef, grid: int | None) -> GridData:
-    g = int(grid) if grid else default_grid(P.dim)
-    return get_grid(P, min(g, 41 if P.dim <= 2 else 21))
 
 
 def _fd_gradients(P: ProblemDef, data: GridData, h: float = 1e-6):
@@ -261,12 +247,13 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
     return x, lam, mu, float(np.linalg.norm(R))
 
 
+@memo(RESULTS)
 def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = 1e-8):
     """Scan the box for first-order KT points: coarse-grid scoring by the
     nonnegative least-squares stationarity residual, Gauss-Newton refinement
     with near-active constraint snapping, then LP confirmation.  Returns
-    lexicographically sorted points."""
-    data = _coarse_grid(P, grid)
+    a lexicographically sorted tuple of points."""
+    data = get_grid(P, min(grid_size(P, grid), 41 if P.dim <= 2 else 21))  # coarse
     n, m = P.n_objectives, P.n_constraints
     grads = _fd_gradients(P, data)
     near = 0.15
@@ -323,4 +310,4 @@ def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = 1e-8):
     for x in found:
         if all(np.linalg.norm(x - y) > 1e-5 for y in out):
             out.append(x)
-    return out
+    return tuple(out)

@@ -30,6 +30,7 @@ from .linprog import (
     decide_alternative,
     solve_lp,
 )
+from .memo import RESULTS, memo
 from .problem import DEFAULT_TOL, DirectionAnalysis, LocalModel, ProblemDef
 from .scalarize import NoFeasiblePointInBox, check_saddle, lagrangian, solve_weighting
 
@@ -159,70 +160,38 @@ def _values(exprs, x) -> np.ndarray:
 
 
 class _Scan:
-    """Shared state for one resolution: stationary points, their
-    classification, candidate multipliers, and memoized saddle/weighting
-    solves, so the eight class checks do not repeat work."""
+    """One resolution's inputs to the eight class checks: the grid and the
+    stationary points.  Classifications, multiplier candidates, saddle and
+    weighting solves are memoised by problem content, so the checks share
+    them without keeping state here."""
 
     def __init__(self, P: ProblemDef, grid, dirs, seed, tol):
-        self.P = P
-        self.dirs = dirs
-        self.seed = seed
-        self.tol = tol
+        self.P, self.dirs, self.seed, self.tol = P, dirs, seed, tol
         self.data = get_grid(P, grid)
         if not self.data.feasible.any():
             raise NoFeasiblePointInBox("no feasible grid point in the box")
         self.points = find_kt_points(P, grid=grid, tol=tol)
-        self._levels: dict = {}
-        self._analyses: dict = {}
-        self._triples: dict = {}
-        self._saddles: dict = {}
-        self._weightings: dict = {}
-
-    @staticmethod
-    def _key(*arrs) -> tuple:
-        return tuple(float(v) for a in arrs for v in np.round(np.ravel(a), 12))
-
-    def _classified(self, x):
-        k = self._key(x)
-        if k not in self._levels:
-            v = classify_point(self.P, x, tol=self.tol, dirs=self.dirs, seed=self.seed)
-            self._levels[k] = v.level
-            self._analyses[k] = tuple(o.analysis for o in v.per_direction)
-        return self._levels[k], self._analyses[k]
 
     def candidate_points(self, second: bool):
         if not second:
             return list(self.points)
-        return [x for x in self.points if self._classified(x)[0] == SECOND_ORDER_KT]
+        return [x for x in self.points if classify_point(
+            self.P, x, tol=self.tol, dirs=self.dirs, seed=self.seed).level == SECOND_ORDER_KT]
 
     def triples(self, x, second: bool):
-        k = (self._key(x), second)
-        if k not in self._triples:
-            analyses = self._classified(x)[1] if second else None
-            self._triples[k] = _candidate_triples(self.P, x, self.tol, analyses=analyses)
-        return self._triples[k]
-
-    def saddle(self, x, lam, mu):
-        k = self._key(x, lam, mu)
-        if k not in self._saddles:
-            self._saddles[k] = check_saddle(self.P, lam, x, mu, grid=self.data.grid, tol=self.tol)
-        return self._saddles[k]
-
-    def weighting(self, lam):
-        k = self._key(lam)
-        if k not in self._weightings:
-            self._weightings[k] = solve_weighting(self.P, lam, grid=self.data.grid)
-        return self._weightings[k]
+        return _candidate_triples(self.P, x, self.tol, self.dirs if second else None, self.seed)
 
 
-def _candidate_triples(P: ProblemDef, x, tol, analyses=None):
+@memo(RESULTS)
+def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
     """KT multiplier candidates at x: the LP solution's lambda, the uniform
     lambda, and every vertex e_i, each completed over the active gradients by
     nonnegative least squares and kept only when the stationarity residual
     fits the usual band.  The LP's own mu is not reused: its residual can sit
     anywhere in the band, and a mu off by 1e-8 fakes Lagrangian gaps of that
-    order across the box.  With `analyses` given, pairs must also have
-    nonnegative curvature along each listed critical direction."""
+    order across the box.  With `dirs` given, pairs must also have
+    nonnegative curvature along each critical direction that
+    classify_point(P, x, tol, dirs, seed) tests."""
     m = LocalModel(P, x, tol)
     act, fg, gg, n = m.active, m.Gf, m.Gg, P.n_objectives
 
@@ -254,22 +223,18 @@ def _candidate_triples(P: ProblemDef, x, tol, analyses=None):
             continue
         kept.append((lam, mu))
 
-    if analyses is None:
-        return kept
-    curv_ok = []
-    seconds = [m.second(da.direction) for da in analyses]
-    for lam, mu in kept:
+    if dirs is None:
+        return tuple(kept)
+    verdict = classify_point(P, x, tol=tol, dirs=dirs, seed=seed)
+    seconds = [m.second(o.analysis.direction) for o in verdict.per_direction]
+
+    def bends_down(lam, mu, f2, g2) -> bool:
         mu_act = mu[list(act.indices)] if len(act.indices) else np.zeros(0)
-        ok = True
-        for f2, g2 in seconds:
-            cur = float(lam @ f2) + (float(mu_act @ g2) if g2.size else 0.0)
-            scale = 1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0))
-            if cur < -tol * scale:
-                ok = False
-                break
-        if ok:
-            curv_ok.append((lam, mu))
-    return curv_ok
+        cur = float(lam @ f2) + (float(mu_act @ g2) if g2.size else 0.0)
+        return cur < -tol * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
+
+    return tuple((lam, mu) for lam, mu in kept
+                 if not any(bends_down(lam, mu, f2, g2) for f2, g2 in seconds))
 
 
 def _feasible_by_eval(P: ProblemDef, y, tol) -> bool:
@@ -284,7 +249,7 @@ def _saddle_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
     probes = 0
     for lam, mu in scan.triples(x, second):
         probes += 1
-        v = scan.saddle(x, lam, mu)
+        v = check_saddle(scan.P, lam, x, mu, grid=scan.data.grid, tol=scan.tol)
         if v.is_saddle or v.counterexample is None:
             continue
         rival = np.asarray(v.counterexample, dtype=float)
@@ -343,7 +308,7 @@ def _weighting_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, in
     fx = _values(scan.P.objectives, x)
     for lam, mu in scan.triples(x, second):
         probes += 1
-        ms = scan.weighting(lam)
+        ms = solve_weighting(scan.P, lam, grid=scan.data.grid)
         mine = float(lam @ fx)
         rival = ms.minimizers[0].point
         rv = float(lam @ _values(scan.P.objectives, rival))

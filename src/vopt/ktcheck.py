@@ -15,6 +15,7 @@ import numpy as np
 
 from .linprog import (LpProblem, MultiplierWitness, NumericalBreakdown, StrictWitness,
                       decide_alternative, solve_lp)
+from .memo import RESULTS, memo
 from .problem import (
     DEFAULT_TOL,
     DirectionAnalysis,
@@ -245,6 +246,7 @@ def _second_order(da: DirectionAnalysis, mode: str, normalization: str) -> Multi
     )
 
 
+@memo(RESULTS)
 def classify_point(
     P: ProblemDef,
     x,

@@ -238,8 +238,9 @@ def _blocks(A, B, C, D):
         if M.size == 0:
             return np.zeros((rows, cols))
         n = rows if by_rows else cols
-        if n == 0 or M.size % n or (by_rows and M.size // n < cols):  # D narrower than B
-            raise BlockShapeError(f"a block of {M.size} entries does not fit A of shape {s}x{q}")
+        if n == 0 or M.size % n or (rows and cols and M.size != rows * cols):  # D is p x r
+            raise BlockShapeError(f"a block of {M.size} entries is not {rows or '?'}x{cols or '?'}"
+                                  f" next to A of shape {s}x{q}")
         return M.reshape(rows, -1) if by_rows else M.reshape(-1, cols)
 
     B = fit(B, s, 0, True)

@@ -210,7 +210,7 @@ def _scaled(tol: float, magnitude: float) -> float:
 
 
 def active_set(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> ActiveSet:
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)  # a copy: memoised results share the point
     vals = np.array([evaluate(g, x) for g in P.constraints])
     for j, v in enumerate(vals):
         if v > _scaled(tol, v):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ExprError, evaluate
-from .gridsearch import cluster_minima, descend, get_grid, weighted_phi
+from .gridsearch import cluster_minima, descend, get_grid, grid_size, weighted_phi
 from .ktcheck import first_order_kt
+from .memo import RESULTS, memo
 from .problem import DEFAULT_TOL, InfeasiblePoint, ProblemDef, active_set
 
 __all__ = [
@@ -110,9 +111,10 @@ def lagrangian(P: ProblemDef, lam, mu, x) -> float:
     return float(v)
 
 
-def _polished_min(P: ProblemDef, lam, mu, grid: int | None, feasible_only: bool):
+@memo(RESULTS)
+def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     """Grid scan + descent polish of the weighted field.  Returns candidate
-    (points, values) arrays; grid points keep their exact grid values."""
+    (points, values) tuples; grid points keep their exact grid values."""
     data = get_grid(P, grid)
     phi, dphi = weighted_phi(P, lam, mu)
     vals = (lam @ data.F) if P.n_objectives else np.zeros(data.pts.shape[1])
@@ -143,14 +145,14 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int | None, feasible_only: bool)
     else:
         accept = None
 
-    cand_pts = [data.pts[:, k] for k in order]
+    cand_pts = [data.pts[:, k].copy() for k in order]
     cand_vals = [float(masked[k]) for k in order]
     for k in order:
         x, fx = descend(phi, dphi, data.pts[:, k], P.lower, P.upper, accept=accept)
         if np.isfinite(fx):
             cand_pts.append(x)
             cand_vals.append(fx)
-    return cand_pts, cand_vals, data.grid
+    return tuple(cand_pts), tuple(cand_vals), data.grid
 
 
 def solve_weighting(P: ProblemDef, lam, grid: int | None = None) -> MinimizerSet:
@@ -158,22 +160,19 @@ def solve_weighting(P: ProblemDef, lam, grid: int | None = None) -> MinimizerSet
     clustered; raises NoFeasiblePointInBox when the grid sees no feasible
     point."""
     lam, _ = check_weights(P, lam)
-    pts, vals, g = _polished_min(P, lam, None, grid, feasible_only=True)
-    reps, best = cluster_minima(pts, vals, MERGE_RADIUS, VALUE_WINDOW)
-    return MinimizerSet(
-        minimizers=tuple(Minimizer(point=p, value=v) for p, v in reps), value=best, grid=g
-    )
+    return _minimizer_set(*_polished_min(P, lam, None, grid_size(P, grid), feasible_only=True))
 
 
 def solve_unconstrained(P: ProblemDef, lam, mu=None, grid: int | None = None) -> MinimizerSet:
     """As solve_weighting but for L(., mu) over the whole box, ignoring
     feasibility."""
     lam, mu = check_weights(P, lam, mu)
-    pts, vals, g = _polished_min(P, lam, mu, grid, feasible_only=False)
+    return _minimizer_set(*_polished_min(P, lam, mu, grid_size(P, grid), feasible_only=False))
+
+
+def _minimizer_set(pts, vals, grid: int) -> MinimizerSet:
     reps, best = cluster_minima(pts, vals, MERGE_RADIUS, VALUE_WINDOW)
-    return MinimizerSet(
-        minimizers=tuple(Minimizer(point=p, value=v) for p, v in reps), value=best, grid=g
-    )
+    return MinimizerSet(tuple(Minimizer(point=p, value=v) for p, v in reps), value=best, grid=grid)
 
 
 def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
@@ -194,23 +193,14 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     )
 
     Lbar = lagrangian(P, lam, mubar, xbar)
-    pts, vals, g = _polished_min(P, lam, mubar, grid, feasible_only=False)
+    pts, vals, g = _polished_min(P, lam, mubar, grid_size(P, grid), feasible_only=False)
     k = int(np.argmin(vals))
-    best_pt, best_val = np.asarray(pts[k]), float(vals[k])
-    if best_val < Lbar - COUNTEREXAMPLE_GAP:
-        return SaddleVerdict(
-            left_ok=left_ok,
-            right_status="Counterexample",
-            counterexample=best_pt,
-            gap=Lbar - best_val,
-            grid=g,
-            polish_seeds=POLISH_SEEDS,
-        )
+    found = float(vals[k]) < Lbar - COUNTEREXAMPLE_GAP
     return SaddleVerdict(
         left_ok=left_ok,
-        right_status="NoCounterexampleFound",
-        counterexample=None,
-        gap=None,
+        right_status="Counterexample" if found else "NoCounterexampleFound",
+        counterexample=np.asarray(pts[k]) if found else None,
+        gap=Lbar - float(vals[k]) if found else None,
         grid=g,
         polish_seeds=POLISH_SEEDS,
     )

@@ -82,6 +82,9 @@ def test_analyze_sine_of_infinity_exits_2(tmp_path, capsys):
     (["analyze", "exA.vopt", "--point", "-1,0"], ["analyze", "exA.vopt", "--point=-1,0"]),
     (["saddle", "exA.vopt", "--point", "-1,0", "--lambda", "-0,1", "--mu", "-.0"],
      ["saddle", "exA.vopt", "--point=-1,0", "--lambda=-0,1", "--mu=-.0"]),
+    (["analyze", "exA.vopt", "--poi", "-1,0"], ["analyze", "exA.vopt", "--point=-1,0"]),
+    (["saddle", "exA.vopt", "--poi", "-1,0", "--lam", "-0,1", "--m", "-.0"],
+     ["saddle", "exA.vopt", "--point=-1,0", "--lambda=-0,1", "--mu=-.0"]),
 ])
 def test_negative_list_after_flag_is_a_value(spaced, glued, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -119,6 +122,7 @@ def test_alternative_ragged_block_exits_1(tmp_path, capsys):
     '{"A": [[1, 2], [3, 4]], "B": [[1, 2, 3]]}',  # B does not fill A's rows
     '{"A": [[1, 2], [3, 4]], "C": [[1, 2, 3]]}',  # C of the wrong width
     '{"A": [[1]], "B": [[1, 2]], "C": [[1]], "D": [[1]]}',  # D narrower than B
+    '{"A": [[1]], "B": [[1]], "C": [[1]], "D": [[1, 2]]}',  # D wider than B
     '{"A": [[[1]]]}',  # A with three axes
     '{"A": []}',  # A is required
 ])

@@ -186,6 +186,10 @@ def test_classify_point_takes_each_gradient_once(exC, monkeypatch):
     assert v.directions_tested > 0
     assert v.per_direction[0].analysis.active.indices == ()
     assert len(calls) == 2
+    # warm: the same content again is a memo hit and takes no gradient
+    calls.clear()
+    assert classify_point(exC, [1.0, -1.0]) is v
+    assert calls == []
 
 
 def test_classify_deterministic(exA):

@@ -1,0 +1,142 @@
+"""The content-keyed memo: what shares an entry, what misses, what a caller
+may do with a shared value, how large the stores grow, and that the order in
+which commands warm it never shows in a report."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vopt.memo
+from vopt.cli import main
+from vopt.gridsearch import _grid, find_kt_points, get_grid
+from vopt.invexity import _candidate_triples
+from vopt.ktcheck import classify_point
+from vopt.problem import load_problem, parse_problem
+from vopt.scalarize import _polished_min, solve_weighting
+
+PAIR = "var x1 in [-2, 2]\nvar x2 in [-2, 2]\nmin x1^2 + x2^2\nmin (x1 - 1)^2 + x2^2\n"
+COMMENTED = (
+    "# two shifted paraboloids\nvar x1 in [-2, 2]   # first\nvar x2 in [-2, 2]\n\n"
+    "min x1^2 + x2^2  # f1\nmin (x1 - 1)^2 + x2^2\n"
+)
+MEMOISED = (_grid, find_kt_points, classify_point, _polished_min, _candidate_triples)
+
+
+def test_files_that_differ_only_in_comments_share_entries(tmp_path):
+    (tmp_path / "plain.vopt").write_text(PAIR)
+    (tmp_path / "commented.vopt").write_text(COMMENTED)
+    P, Q = load_problem(tmp_path / "plain.vopt"), load_problem(tmp_path / "commented.vopt")
+    assert P.source != Q.source
+    assert get_grid(P, 5) is get_grid(Q, 5)
+    assert find_kt_points(P, grid=5) is find_kt_points(Q, grid=5)
+    assert classify_point(P, [0.5, 0.0], dirs=8) is classify_point(Q, [0.5, 0.0], dirs=8)
+    assert solve_weighting(P, [0.5, 0.5], grid=5).value == solve_weighting(Q, [0.5, 0.5], 5).value
+    assert [len(fn.store) for fn in MEMOISED] == [1, 1, 1, 1, 0]
+
+
+def test_default_grid_and_its_size_are_one_entry():
+    P = parse_problem(PAIR)
+    assert get_grid(P) is get_grid(P, 201)
+    assert len(_grid.store) == 1
+
+
+@pytest.mark.parametrize("change", [
+    dict(tol=1e-9),
+    dict(dirs=9),
+    dict(seed=1),
+    dict(x=np.array([np.nextafter(0.5, 1.0), 0.0])),
+    dict(x=np.array([0.5, -0.0])),
+])
+def test_any_change_of_an_argument_is_a_miss(change):
+    P = parse_problem(PAIR)
+    base = dict(x=np.array([0.5, 0.0]), tol=1e-8, dirs=8, seed=0)
+    first = classify_point(P, **base)
+    again = classify_point(P, **{**base, **change})
+    assert again is not first
+    assert len(classify_point.store) == 2
+
+
+@pytest.mark.parametrize("change", [dict(grid=6), dict(tol=1e-9)])
+def test_kt_scan_misses_on_grid_and_tolerance(change):
+    P = parse_problem(PAIR)
+    first = find_kt_points(P, grid=5, tol=1e-8)
+    assert find_kt_points(P, **{"grid": 5, "tol": 1e-8, **change}) is not first
+    assert len(find_kt_points.store) == 2
+
+
+def test_shared_arrays_are_read_only_and_keep_their_values():
+    P = parse_problem(PAIR)
+    data, pts = get_grid(P, 5), find_kt_points(P, grid=5)
+    verdict = classify_point(P, [0.5, 0.0], dirs=8)
+    cand_pts, _, _ = _polished_min(P, np.array([0.5, 0.5]), None, 5, True)
+    kept = [a.copy() for a in (data.pts, pts[0], verdict.point, verdict.first_order.lam)]
+    for a in (data.pts, pts[0], verdict.point, verdict.first_order.lam, cand_pts[0]):
+        with pytest.raises(ValueError):
+            a[0] = 7.0
+    again = (get_grid(P, 5).pts, find_kt_points(P, grid=5)[0],
+             classify_point(P, [0.5, 0.0], dirs=8).point,
+             classify_point(P, [0.5, 0.0], dirs=8).first_order.lam)
+    for a, b in zip(kept, again):
+        np.testing.assert_array_equal(a, b)
+    assert not any(np.shares_memory(p, data.pts) for p in cand_pts)  # copies, not grid views
+
+
+def test_a_callers_point_stays_writable():
+    x = np.array([0.5, 0.0])
+    classify_point(parse_problem(PAIR), x, dirs=8)
+    x[0] = 0.25
+
+
+def test_a_mutable_value_is_refused():
+    with pytest.raises(TypeError):
+        vopt.memo.memo(4)(lambda P: [P])(1)
+
+
+def test_stores_stay_within_their_bounds_over_many_problems():
+    made = []
+
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 2))
+    def visit(a, b, w):
+        P = parse_problem(
+            f"var x1 in [-1, 1]\nmin {w!r}*(x1 - {a!r})^2 + {len(made)}\nmin (x1 - {b!r})^2\n"
+        )
+        made.append(P)
+        get_grid(P, 3)
+        find_kt_points(P, grid=3)
+        classify_point(P, [0.0], dirs=4)
+        assert all(len(fn.store) <= fn.size for fn in MEMOISED)
+
+    visit()
+    assert len(made) >= 1000
+    assert len(_grid.store) == vopt.memo.GRIDS
+    assert len(find_kt_points.store) == len(classify_point.store) == vopt.memo.RESULTS
+
+
+PAPER = [["reproduce-example", i] for i in ("4.1", "5.1", "5.2")] + [
+    ["classify", f"{f}.vopt", "--class", "all"] for f in ("exA", "exB", "exBprime", "exC")
+]
+
+
+def test_cache_order_does_not_change_a_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+
+    def run(argv):
+        code = main([*argv, "--json", str(path)])
+        capsys.readouterr()
+        report = json.loads(path.read_text())
+        report.pop("elapsed_ms")
+        return code, report
+
+    cold = {}
+    for argv in PAPER:
+        vopt.memo.clear()
+        cold[tuple(argv)] = run(argv)
+    assert all(code == 0 for code, _ in cold.values())
+    for order in (PAPER, PAPER[::-1]):
+        vopt.memo.clear()
+        for argv in order:
+            assert run(argv) == cold[tuple(argv)], argv
