@@ -16,7 +16,7 @@ from scipy.optimize import nnls
 from .expr import ExprError, eval_grid, evaluate, grad, hessian
 from .ktcheck import first_order_kt
 from .memo import GRIDS, RESULTS, memo
-from .problem import InfeasiblePoint, ProblemDef
+from .problem import InfeasiblePoint, ProblemDef, within
 
 __all__ = [
     "GridData",
@@ -58,7 +58,7 @@ def _grid(P: ProblemDef, g: int) -> GridData:
     F, G = (np.array([eval_grid(e, pts) for e in es]).reshape(len(es), pts.shape[1])
             for es in (P.objectives, P.constraints))
     ok = np.isfinite(F).all(axis=0) & np.isfinite(G).all(axis=0)
-    ok &= (G <= FEAS_EPS * (1.0 + np.abs(G))).all(axis=0)
+    ok &= within(G, FEAS_EPS).all(axis=0)
     return GridData(axes=axes, pts=pts, F=F, G=G, feasible=ok, grid=g)
 
 

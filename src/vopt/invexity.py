@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .expr import evaluate
 from .gridsearch import find_kt_points, get_grid
-from .ktcheck import SECOND_ORDER_KT, NotCritical, classify_point, first_order_kt
+from .ktcheck import SECOND_ORDER_KT, NotCritical, classify_point
 from .linprog import (
     LpProblem,
     MultiplierWitness,
@@ -31,7 +30,7 @@ from .linprog import (
     solve_lp,
 )
 from .memo import RESULTS, memo
-from .problem import DEFAULT_TOL, DirectionAnalysis, LocalModel, ProblemDef
+from .problem import DEFAULT_TOL, DirectionAnalysis, LocalModel, ProblemDef, feasible_at
 from .scalarize import NoFeasiblePointInBox, check_saddle, lagrangian, solve_weighting
 
 KTSP_INVEX = "KTSPInvex"
@@ -184,44 +183,20 @@ class _Scan:
 
 @memo(RESULTS)
 def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
-    """KT multiplier candidates at x: the LP solution's lambda, the uniform
-    lambda, and every vertex e_i, each completed over the active gradients by
-    nonnegative least squares and kept only when the stationarity residual
-    fits the usual band.  The LP's own mu is not reused: its residual can sit
-    anywhere in the band, and a mu off by 1e-8 fakes Lagrangian gaps of that
-    order across the box.  With `dirs` given, pairs must also have
-    nonnegative curvature along each critical direction that
+    """KT multiplier candidates at x, each from `LocalModel.multipliers`:
+    the oracle's own (lambda, mu), then lambda pinned to the uniform weight
+    and to every vertex e_i, duplicates dropped.  With `dirs` given, pairs
+    must also have nonnegative curvature along each critical direction that
     classify_point(P, x, tol, dirs, seed) tests."""
     m = LocalModel(P, x, tol)
-    act, fg, gg, n = m.active, m.Gf, m.Gg, P.n_objectives
-
-    lams: list[np.ndarray] = []
-    fo = first_order_kt(P, x, tol)
-    if fo is not None:
-        lam = np.clip(fo.lam, 0.0, None)
-        if lam.sum() > 0:
-            lams.append(lam / lam.sum())
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for lam in [*lams, np.full(n, 1.0 / n), *np.eye(n)]:
-        b = -(lam @ fg)
-        if len(act.indices):
-            mu_act, resid = nnls(gg.T, b)
-        else:
-            mu_act, resid = np.zeros(0), float(np.linalg.norm(b))
-        if resid > m.band:
-            continue
-        mu = np.zeros(P.n_constraints)
-        mu[list(act.indices)] = mu_act
-        out.append((lam, mu))
-
+    n, act = P.n_objectives, list(m.active.indices)
     kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for lam, mu in out:
-        if any(
-            np.abs(lam - l2).max() <= 1e-9 and (mu.size == 0 or np.abs(mu - m2).max() <= 1e-9)
-            for l2, m2 in kept
-        ):
+    for pin in (None, np.full(n, 1.0 / n), *np.eye(n)):
+        pair = m.multipliers(lam=pin)
+        if pair is None or any(np.abs(pair.lam - l2).max() <= 1e-9 and (
+                pair.mu.size == 0 or np.abs(pair.mu - m2).max() <= 1e-9) for l2, m2 in kept):
             continue
-        kept.append((lam, mu))
+        kept.append((pair.lam, pair.mu))
 
     if dirs is None:
         return tuple(kept)
@@ -229,20 +204,11 @@ def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
     seconds = [m.second(o.analysis.direction) for o in verdict.per_direction]
 
     def bends_down(lam, mu, f2, g2) -> bool:
-        mu_act = mu[list(act.indices)] if len(act.indices) else np.zeros(0)
-        cur = float(lam @ f2) + (float(mu_act @ g2) if g2.size else 0.0)
+        cur = float(lam @ f2) + (float(mu[act] @ g2) if g2.size else 0.0)
         return cur < -tol * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
 
     return tuple((lam, mu) for lam, mu in kept
                  if not any(bends_down(lam, mu, f2, g2) for f2, g2 in seconds))
-
-
-def _feasible_by_eval(P: ProblemDef, y, tol) -> bool:
-    for g in P.constraints:
-        v = evaluate(g, y)
-        if v > tol * (1.0 + abs(v)):
-            return False
-    return True
 
 
 def _saddle_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
@@ -289,7 +255,7 @@ def _domination_witness(scan: _Scan, x, strict_all: bool) -> Witness | None:
     for i in idx:
         rival = data.pts[:, i].copy()
         fr = _values(P.objectives, rival)
-        if not _feasible_by_eval(P, rival, scan.tol):
+        if not feasible_at(P, rival, scan.tol):
             continue
         fine = (fr < fx - margin).all() if strict_all else (
             (fr <= fx).all() and (fr < fx - margin).any()
@@ -314,7 +280,7 @@ def _weighting_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, in
         rv = float(lam @ _values(scan.P.objectives, rival))
         gap = mine - rv
         margin = max(REFUTE_MARGIN, 1e3 * scan.tol) * (1.0 + abs(mine))
-        if gap > margin and _feasible_by_eval(scan.P, rival, scan.tol):
+        if gap > margin and feasible_at(scan.P, rival, scan.tol):
             return (
                 Witness(
                     point=x, lam=lam, mu=mu, rival=np.asarray(rival, dtype=float),
@@ -471,7 +437,7 @@ def pointwise_survey(
     while made < pairs and attempts < 200 * pairs:
         attempts += 1
         base = lo + (hi - lo) * rng.random(P.dim)
-        if not _feasible_by_eval(P, base, tol):
+        if not feasible_at(P, base, tol):
             continue
         probe = lo + (hi - lo) * rng.random(P.dim)
         tested.append((base, probe))

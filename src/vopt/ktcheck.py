@@ -1,10 +1,11 @@
-"""First- and second-order Kuhn-Tucker stationarity decided by LP feasibility.
+"""First- and second-order Kuhn-Tucker stationarity, decided by the one
+multiplier oracle `LocalModel.multipliers`.
 
-Stationarity rows Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 are relaxed to the point's
-stationarity band, tol·(1 + max gradient norm), so polished floating-point
-stationary points are not rejected on roundoff; returned pairs always carry the
-honestly recomputed residual.  The curvature row L''(x; d) >= 0 is exact, so
-returned pairs satisfy it up to solver feasibility tolerance.
+Stationarity Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 is relaxed to the oracle's band
+on row-scaled gradients, so polished floating-point stationary points are not
+rejected on roundoff; returned pairs always carry the honestly recomputed
+residual.  The curvature row L''(x; d) >= 0 is exact, so returned pairs
+satisfy it up to solver feasibility tolerance.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linprog import (LpProblem, MultiplierWitness, NumericalBreakdown, StrictWitness,
-                      decide_alternative, solve_lp)
+from .linprog import MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative
 from .memo import RESULTS, memo
 from .problem import (
     DEFAULT_TOL,
+    FRITZ_JOHN,
+    SUM_LAMBDA_ONE,
     DirectionAnalysis,
     LocalModel,
     MissingSecondDerivative,
+    MultiplierPair,
     ProblemDef,
     analyze_direction,
 )
@@ -45,9 +48,6 @@ __all__ = [
     "primal_necessary",
 ]
 
-SUM_LAMBDA_ONE = "SumLambdaOne"
-FRITZ_JOHN = "FritzJohn"
-
 MODE_PLAIN = "plain"  # stationarity + curvature only; support reported post-hoc
 MODE_SUPPORT = "support"  # also pin multipliers outside I(x,d), J(x,d) to zero
 
@@ -58,22 +58,6 @@ SECOND_ORDER_KT = "SecondOrderKT"
 
 class NotCritical(Exception):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplierPair:
-    lam: np.ndarray  # length n, >= 0
-    mu: np.ndarray  # length m, >= 0, zero off the active set
-    normalization: str  # SUM_LAMBDA_ONE or FRITZ_JOHN
-    residual: float  # recomputed ||Sum lam grad f + Sum mu grad g||
-    curvature: float | None = None  # L''(x; d) for second-order pairs
-
-    def supported_on(self, obj_idx, con_idx, tol: float = 1e-9) -> bool:
-        """True when every strictly positive multiplier lies in the given
-        index sets (the complementarity-along-d condition)."""
-        ok_l = all(i in set(obj_idx) for i in range(len(self.lam)) if self.lam[i] > tol)
-        ok_m = all(j in set(con_idx) for j in range(len(self.mu)) if self.mu[j] > tol)
-        return ok_l and ok_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,108 +92,8 @@ def first_order_kt(
 ) -> MultiplierPair | None:
     """One pair (lam, mu) with lam, mu >= 0, mu supported on the active set,
     and Sum lam_i grad f_i + Sum mu_j grad g_j = 0 within the stationarity
-    band; None when the stationarity system is infeasible."""
-    return _multiplier_lp(LocalModel(P, x, tol), None, None, normalization)
-
-
-def _multiplier_lp(
-    m: LocalModel,
-    f2: np.ndarray | None,
-    g2: np.ndarray | None,
-    normalization: str,
-    obj_support: tuple[int, ...] | None = None,
-    con_support: tuple[int, ...] | None = None,
-) -> MultiplierPair | None:
-    """Shared LP core.  Without f2/g2 this is the first-order system; with
-    them a curvature row L'' >= 0 and the slack objective max min(L'', 1)
-    are added.  Support tuples pin the remaining multipliers to zero by
-    dropping their columns."""
-    P, act_idx, fg, gg, band = m.P, m.active.indices, m.Gf, m.Gg, m.band
-    n, s = P.n_objectives, P.dim
-    obj_cols = list(range(n)) if obj_support is None else list(obj_support)
-    con_cols = list(range(len(act_idx))) if con_support is None else [
-        act_idx.index(j) for j in con_support
-    ]
-    if not obj_cols and normalization == SUM_LAMBDA_ONE:
-        return None
-    nl, nm = len(obj_cols), len(con_cols)
-    second_order = f2 is not None
-    width = nl + nm + (1 if second_order else 0)
-
-    rows: list[np.ndarray] = []
-    senses: list[str] = []
-    b: list[float] = []
-
-    stationarity = np.zeros((s, width))
-    stationarity[:, :nl] = fg[obj_cols].T
-    stationarity[:, nl : nl + nm] = gg[con_cols].T
-    for r in stationarity:
-        rows += [r, r]
-        senses += ["<=", ">="]
-        b += [band, -band]
-
-    if second_order:
-        curv = np.zeros(width)
-        curv[:nl] = f2[obj_cols]
-        curv[nl : nl + nm] = g2[con_cols]
-        rows.append(curv)
-        senses.append(">=")
-        b.append(0.0)
-        vrow = -curv.copy()
-        vrow[-1] = 1.0  # v - L'' <= 0
-        rows.append(vrow)
-        senses.append("<=")
-        b.append(0.0)
-        cap = np.zeros(width)
-        cap[-1] = 1.0
-        rows.append(cap)
-        senses.append("<=")
-        b.append(1.0)
-
-    norm_row = np.zeros(width)
-    norm_row[:nl] = 1.0
-    if normalization == FRITZ_JOHN:
-        norm_row[nl : nl + nm] = 1.0
-    rows.append(norm_row)
-    senses.append("=")
-    b.append(1.0)
-
-    c = np.zeros(width)
-    free: tuple[int, ...] = ()
-    maximize = False
-    if second_order:
-        c[-1] = 1.0
-        free = (width - 1,)
-        maximize = True
-
-    out = solve_lp(
-        LpProblem(c=c, A=np.array(rows), senses=senses, b=np.array(b), free=free, maximize=maximize)
-    )
-    if out.status == "infeasible":
-        return None
-    if out.status != "optimal":
-        raise NumericalBreakdown(f"multiplier search ended with status {out.status}")
-
-    lam = np.zeros(n)
-    for col, i in enumerate(obj_cols):
-        lam[i] = max(out.x[col], 0.0)
-    mu = np.zeros(P.n_constraints)
-    for col, j in enumerate(con_cols):
-        mu[act_idx[j]] = max(out.x[nl + col], 0.0)
-    residual = float(
-        np.linalg.norm(
-            sum(lam[i] * fg[i] for i in range(n))
-            + sum(mu[act_idx[k]] * gg[k] for k in range(len(act_idx)))
-        )
-    )
-    curvature = None
-    if second_order:
-        curvature = float(
-            sum(lam[i] * f2[i] for i in range(n))
-            + sum(mu[act_idx[k]] * g2[k] for k in range(len(act_idx)))
-        )
-    return MultiplierPair(lam=lam, mu=mu, normalization=normalization, residual=residual,
-                          curvature=curvature)
+    band of `LocalModel.multipliers`; None when no pair fits it."""
+    return LocalModel(P, x, tol).multipliers(normalization=normalization)
 
 
 def second_order_multipliers(
@@ -236,13 +120,12 @@ def _critical_seconds(da: DirectionAnalysis) -> tuple[np.ndarray, np.ndarray]:
 def _second_order(da: DirectionAnalysis, mode: str, normalization: str) -> MultiplierPair | None:
     f2, g2 = _critical_seconds(da)
     support = mode == MODE_SUPPORT
-    return _multiplier_lp(
-        da.model,
+    return da.model.multipliers(
         f2,
         g2,
-        normalization,
         obj_support=da.zero_objectives if support else None,
         con_support=da.zero_constraints if support else None,
+        normalization=normalization,
     )
 
 
@@ -260,7 +143,7 @@ def classify_point(
     critical directions.  SecondOrderKT means every tested direction admits
     a pair; the verdict is relative to `dirs` resolution."""
     m = LocalModel(P, x, tol)
-    fo = _multiplier_lp(m, None, None, normalization)
+    fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
                                    per_direction=(), directions_tested=0)

@@ -8,8 +8,9 @@ settles which of two mutually exclusive linear systems is solvable
   multiplier system  A y + B z = 0, C y + D z >= 0, y >= 0 nonzero, z >= 0
 
 and returns a certificate that re-verifies by direct substitution.  The
-strict side is decided by maximizing a shared margin; the multiplier side by
-a normalized feasibility solve.
+strict side is decided by maximizing a shared margin, and its witness is
+scaled to max |(x, u)| = 1; the multiplier side by a normalized feasibility
+solve.
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def decide_alternative(A, B=None, C=None, D=None) -> StrictWitness | MultiplierW
                   free=tuple(range(s)) + (nvar - 1,), maximize=True)
     )
     if out.status == "optimal" and out.objective is not None and out.objective > MARGIN:
-        w = StrictWitness(x=out.x[:s].copy(), u=out.x[s : s + p].copy())
+        xu = out.x[: s + p] / np.abs(out.x[: s + p]).max()  # homogeneous: scale to max 1
+        w = StrictWitness(x=xu[:s], u=xu[s:])
         if not verify_certificate(w, A, B, C, D):
             raise NumericalBreakdown("strict witness failed re-verification")
         return w

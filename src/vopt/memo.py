@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -23,9 +24,33 @@ RESULTS = 128
 _stores: list[OrderedDict] = []
 
 
+class _Content:
+    """A problem's content key with its hash taken once: a memo hit then
+    hashes the expression trees never, and compares them only across two
+    loads of the same problem.  The box is read-only, so the key stays true."""
+
+    __slots__ = ("parts", "hash")
+
+    def __init__(self, P: ProblemDef):
+        self.parts = (P.var_names, _key(P.lower), _key(P.upper), P.objectives, P.constraints)
+        self.hash = hash(self.parts)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _Content) and self.hash == other.hash
+                                 and self.parts == other.parts)
+
+
+_contents: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _key(v):
     if isinstance(v, ProblemDef):
-        return (ProblemDef, v.var_names, _key(v.lower), _key(v.upper), v.objectives, v.constraints)
+        if v not in _contents:
+            _contents[v] = _Content(v)
+        return _contents[v]
     if isinstance(v, np.ndarray):
         return (np.ndarray, v.dtype.str, v.shape, v.tobytes())
     if isinstance(v, (tuple, list)):

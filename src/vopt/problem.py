@@ -2,9 +2,10 @@
 
 The box bounds declare the open region the problem lives in; point queries
 work anywhere the expressions evaluate, global scans stay inside the box.
-Also home to the per-point `LocalModel` (active set, gradient rows,
-tolerances), the activity / criticality analysis of directions built on it,
-and the sampler that supplies candidate critical directions to downstream
+Also home to the one feasibility rule (`within`), the per-point
+`LocalModel` (active set, gradient rows, tolerances and the KT-multiplier
+oracle), the activity / criticality analysis of directions built on it, and
+the sampler that supplies candidate critical directions to downstream
 certificates.
 """
 
@@ -18,10 +19,14 @@ import numpy as np
 
 from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, parse_expr,
                    second_dir_deriv)
+from .linprog import LpProblem, NumericalBreakdown, solve_lp
 
 __all__ = [
+    "SUM_LAMBDA_ONE",
+    "FRITZ_JOHN",
     "ProblemDef",
     "ActiveSet",
+    "MultiplierPair",
     "LocalModel",
     "DirectionAnalysis",
     "ParseError",
@@ -31,12 +36,17 @@ __all__ = [
     "MissingSecondDerivative",
     "parse_problem",
     "load_problem",
+    "within",
+    "feasible_at",
     "active_set",
     "analyze_direction",
     "sample_critical_directions",
 ]
 
 DEFAULT_TOL = 1e-8
+
+SUM_LAMBDA_ONE = "SumLambdaOne"
+FRITZ_JOHN = "FritzJohn"
 
 
 class ParseError(Exception):
@@ -74,6 +84,12 @@ class ProblemDef:
     constraints: tuple[Expr, ...]
     source: str = ""
 
+    def __post_init__(self):
+        for name in ("lower", "upper"):  # read-only copies: the memo keys on their bytes
+            box = np.array(getattr(self, name))
+            box.flags.writeable = False
+            object.__setattr__(self, name, box)
+
     @property
     def dim(self) -> int:
         return len(self.var_names)
@@ -97,6 +113,22 @@ class ActiveSet:
     tol: float
     indices: tuple[int, ...]  # sorted ascending
     values: np.ndarray  # all constraint values at the point
+
+
+@dataclass(frozen=True, eq=False)
+class MultiplierPair:
+    lam: np.ndarray  # length n, >= 0
+    mu: np.ndarray  # length m, >= 0, zero off the active set
+    normalization: str  # SUM_LAMBDA_ONE or FRITZ_JOHN
+    residual: float  # recomputed ||Sum lam grad f + Sum mu grad g||
+    curvature: float | None = None  # L''(x; d) for second-order pairs
+
+    def supported_on(self, obj_idx, con_idx, tol: float = 1e-9) -> bool:
+        """True when every strictly positive multiplier lies in the given
+        index sets (the complementarity-along-d condition)."""
+        ok_l = all(i in set(obj_idx) for i in range(len(self.lam)) if self.lam[i] > tol)
+        ok_m = all(j in set(con_idx) for j in range(len(self.mu)) if self.mu[j] > tol)
+        return ok_l and ok_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,17 +237,30 @@ def load_problem(path) -> ProblemDef:
 # activity / criticality
 
 
-def _scaled(tol: float, magnitude: float) -> float:
-    return tol * (1.0 + abs(magnitude))
+def within(v, eps: float):
+    """The one feasibility rule, v <= eps·(1 + |v|), for a float or
+    elementwise for an array."""
+    return v <= eps * (1.0 + abs(v))
+
+
+def feasible_at(P: ProblemDef, y, eps: float) -> bool:
+    """Every constraint defined at y and `within` eps of satisfied."""
+    try:
+        for g in P.constraints:
+            if not within(evaluate(g, y), eps):
+                return False
+    except ExprError:
+        return False
+    return True
 
 
 def active_set(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> ActiveSet:
     x = np.array(x, dtype=float)  # a copy: memoised results share the point
     vals = np.array([evaluate(g, x) for g in P.constraints])
     for j, v in enumerate(vals):
-        if v > _scaled(tol, v):
+        if not within(v, tol):
             raise InfeasiblePoint(j, float(v))
-    idx = tuple(j for j, v in enumerate(vals) if abs(v) <= _scaled(tol, v))
+    idx = tuple(j for j, v in enumerate(vals) if within(abs(v), tol))
     return ActiveSet(point=x, tol=tol, indices=idx, values=vals)
 
 
@@ -223,8 +268,8 @@ class LocalModel:
     """The local facts every first- and second-order condition reads at one
     feasible point x, computed once: the active set A(x), the gradient rows
     Gf (n x s) of the objectives and Gg (|A| x s) of the active constraints,
-    the per-row activity tolerances tol·(1 + |row|), and the stationarity
-    band tol·(1 + max |row|)."""
+    and the per-row activity tolerances tol·(1 + |row|).  `multipliers` is
+    the one KT-multiplier oracle."""
 
     def __init__(self, P: ProblemDef, x, tol: float = DEFAULT_TOL):
         self.P = P
@@ -239,7 +284,73 @@ class LocalModel:
         norms = np.array([float(np.linalg.norm(r)) for r in (*self.Gf, *self.Gg)])
         self.f_tols = tol * (1.0 + norms[: P.n_objectives])
         self.g_tols = tol * (1.0 + norms[P.n_objectives :])
-        self.band = tol * (1.0 + max(norms, default=0.0))
+
+    def multipliers(self, f2=None, g2=None, obj_support=None, con_support=None, lam=None,
+                    normalization: str = SUM_LAMBDA_ONE) -> MultiplierPair | None:
+        """The KT-multiplier oracle: one LP over w = (λ̃, μ̃) >= 0 on the
+        gradient rows r_k, each divided by c_k = max(|row_k|, 1).  It
+        minimises the ∞-norm stationarity residual t = max|Σ w_k r_k| and
+        accepts iff t <= tol·(1 + Σ w_k |r_k|).  With second derivatives f2
+        (all objectives) and g2 (active constraints) that band is stated as
+        rows, a curvature row L''(x; d) >= 0 is added and min(L'', 1) is
+        maximised.  Support tuples drop the other columns; `lam` pins λ.
+        λ = λ̃/c and μ = μ̃/c are then rescaled once so that Σλ = 1 (Fritz
+        John: Σλ + Σμ = 1).  None when no pair passes."""
+        P, act, tol = self.P, self.active.indices, self.tol
+        obj = list(range(P.n_objectives)) if obj_support is None else list(obj_support)
+        con = list(range(len(act))) if con_support is None else [act.index(j) for j in con_support]
+        if not obj and normalization == SUM_LAMBDA_ONE:
+            return None
+        rows = np.vstack([self.Gf[obj], self.Gg[con]])
+        scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+        R = rows.T / scale  # s x k: one scaled row per column of w
+        norms = np.linalg.norm(R, axis=0)
+        (s, k), nl, second = R.shape, len(obj), f2 is not None
+        # columns w, then t (or v with curvature); each stationarity row twice
+        A = np.zeros((2 * s + 3 * second + (nl if lam is not None else 1), k + 1))
+        b = np.zeros(len(A))
+        senses = ["<=", ">="] * s
+        sign = np.tile([1.0, -1.0], s)
+        A[: 2 * s, :k] = np.repeat(R, 2, axis=0)
+        if second:  # the band as rows: |r·w| <= tol·(1 + norms·w)
+            A[: 2 * s, :k] -= np.outer(sign, tol * norms)
+            b[: 2 * s] = sign * tol
+            curv = np.concatenate([np.asarray(f2)[obj], np.asarray(g2)[con]]) / scale
+            A[2 * s, :k] = curv  # L'' >= 0
+            A[2 * s + 1] = np.append(-curv, 1.0)  # v <= L''
+            A[2 * s + 2, k] = b[2 * s + 2] = 1.0  # v <= 1
+            senses += [">=", "<=", "<="]
+        else:  # |r·w| <= t
+            A[: 2 * s, k] = -sign
+        r = 2 * s + 3 * second
+        if lam is not None:
+            pinned = np.asarray(lam, dtype=float)[obj] * scale[:nl]
+            A[r:, :nl], b[r:] = np.eye(nl), pinned / pinned.sum()
+            senses += ["="] * nl
+        else:
+            A[r, : k if normalization == FRITZ_JOHN else nl] = b[r] = 1.0
+            senses.append("=")
+        c = np.append(np.zeros(k), 1.0)
+        out = solve_lp(LpProblem(c=c, A=A, senses=senses, b=b,
+                                 free=(k,) if second else (), maximize=second))
+        if out.status == "infeasible":
+            return None
+        if out.status != "optimal":
+            raise NumericalBreakdown(f"multiplier search ended with status {out.status}")
+        w = np.maximum(out.x[:k], 0.0)
+        if not second and np.abs(R @ w).max(initial=0.0) > tol * (1.0 + norms @ w):
+            return None  # with curvature the LP's rows are this test already
+        lam_out, mu = np.zeros(P.n_objectives), np.zeros(P.n_constraints)
+        lam_out[obj] = w[:nl] / scale[:nl]
+        mu[[act[j] for j in con]] = w[nl:] / scale[nl:]
+        total = lam_out.sum() + (mu.sum() if normalization == FRITZ_JOHN else 0.0)
+        lam_out = lam_out / total if lam is None else np.array(lam, dtype=float)
+        mu = mu / total
+        mu_act = mu[list(act)]
+        residual = float(np.linalg.norm(lam_out @ self.Gf + mu_act @ self.Gg))
+        curvature = float(lam_out @ f2 + mu_act @ g2) if second else None
+        return MultiplierPair(lam=lam_out, mu=mu, normalization=normalization,
+                              residual=residual, curvature=curvature)
 
     def directions(self, D) -> list[DirectionAnalysis]:
         """Criticality analysis of each row of D, scaled to unit length

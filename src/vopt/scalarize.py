@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprError, evaluate
+from .expr import evaluate
 from .gridsearch import cluster_minima, descend, get_grid, grid_size, weighted_phi
 from .ktcheck import first_order_kt
 from .memo import RESULTS, memo
-from .problem import DEFAULT_TOL, InfeasiblePoint, ProblemDef, active_set
+from .problem import DEFAULT_TOL, ProblemDef, active_set, feasible_at, within
 
 __all__ = [
     "BadWeights",
@@ -129,22 +129,7 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     masked = np.where(mask, vals, np.inf)
     order = np.argsort(masked, kind="stable")[:POLISH_SEEDS]
 
-    if feasible_only:
-        eps = 1e-9
-
-        def accept(y: np.ndarray) -> bool:
-            try:
-                for g in P.constraints:
-                    gv = evaluate(g, y)
-                    if gv > eps * (1.0 + abs(gv)):
-                        return False
-            except ExprError:
-                return False
-            return True
-
-    else:
-        accept = None
-
+    accept = (lambda y: feasible_at(P, y, 1e-9)) if feasible_only else None
     cand_pts = [data.pts[:, k].copy() for k in order]
     cand_vals = [float(masked[k]) for k in order]
     for k in order:
@@ -188,7 +173,7 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     gvals = np.array([evaluate(g, xbar) for g in P.constraints])
     scale = 1.0 + float(np.abs(gvals).sum()) if gvals.size else 1.0
     left_ok = bool(
-        (gvals <= tol * (1.0 + np.abs(gvals))).all()
+        within(gvals, tol).all()
         and abs(float(mubar @ gvals) if gvals.size else 0.0) <= tol * scale
     )
 

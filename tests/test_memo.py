@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vopt.memo
+import vopt.problem
 from vopt.cli import main
 from vopt.gridsearch import _grid, find_kt_points, get_grid
 from vopt.invexity import _candidate_triples
@@ -88,6 +89,19 @@ def test_a_callers_point_stays_writable():
     x = np.array([0.5, 0.0])
     classify_point(parse_problem(PAIR), x, dirs=8)
     x[0] = 0.25
+
+
+def test_the_box_is_read_only_so_a_key_cannot_go_stale():
+    P = parse_problem(PAIR)
+    box = np.array([-2.0, -2.0])
+    Q = vopt.problem.ProblemDef(P.var_names, box, P.upper, P.objectives, P.constraints)
+    box[0] = 0.0  # the problem keeps its own copy
+    assert Q.lower[0] == -2.0
+    for bound in (P.lower, P.upper, Q.lower):
+        with pytest.raises(ValueError):
+            bound[0] = 0.0
+    with pytest.raises(AttributeError):
+        P.lower = np.zeros(2)
 
 
 def test_a_mutable_value_is_refused():
