@@ -2,7 +2,10 @@
 
 Runs every registered example command in-process and rewrites
 src/vopt/fixtures/expected/<name>.json with elapsed_ms zeroed, so the
-checked-in files stay byte-stable across regenerations.
+checked-in files stay byte-stable across regenerations.  Each line printed
+ends in `changed` or `same`, by comparing the new bytes with the old file's.
+
+Run from the repository root: PYTHONPATH=src python scripts/regenerate_expected.py
 """
 
 import json
@@ -17,8 +20,10 @@ def main() -> None:
             report = run_for_report(argv)
             report["elapsed_ms"] = 0
             path = EXPECTED / f"{name}.json"
-            path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-            print(f"{example_id}  {path.name}")
+            data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+            same = path.exists() and path.read_bytes() == data
+            path.write_bytes(data)
+            print(f"{example_id}  {path.name}  {'same' if same else 'changed'}")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ __all__ = [
     "descend",
     "weighted_phi",
     "cluster_minima",
+    "local_minima_cells",
     "find_kt_points",
 ]
 
@@ -89,7 +90,9 @@ def weighted_phi(P: ProblemDef, lam, mu):
 
 
 def descend(phi, dphi, x0, lower, upper, steps: int = 300, accept=None):
-    """Projected gradient descent with backtracking.  `accept` may reject
+    """Projected gradient descent with backtracking.  A step must win half the
+    decrease its first-order model predicts (not the usual 1e-4), so steps near
+    2/L that bounce across a stiff valley are refused.  `accept` may reject
     iterates (feasibility by rejection); the final point always satisfies it.
     Returns (x, phi(x))."""
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
@@ -107,7 +110,7 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, accept=None):
             y = np.clip(x - t * g, lower, upper)
             if accept is None or accept(y):
                 fy = phi(y)
-                if np.isfinite(fy) and fy < fx - 1e-4 * t * gn * gn:
+                if np.isfinite(fy) and fy < fx - 0.5 * t * gn * gn:
                     if float(np.linalg.norm(y - x)) < 1e-13:
                         t = 0.0
                         break
@@ -143,6 +146,20 @@ def cluster_minima(points, values, radius: float = 1e-4, window: float = 1e-6, c
     return reps, best
 
 
+def local_minima_cells(shape, score: np.ndarray) -> list[int]:
+    """Flat indices whose score is <= all axis-neighbours'."""
+    S = score.reshape(shape)
+    ok = np.ones(shape, dtype=bool)
+    for ax in range(len(shape)):
+        lo = [slice(None)] * len(shape)
+        hi = [slice(None)] * len(shape)
+        lo[ax] = slice(1, None)
+        hi[ax] = slice(None, -1)
+        ok[tuple(lo)] &= S[tuple(lo)] <= S[tuple(hi)]
+        ok[tuple(hi)] &= S[tuple(hi)] <= S[tuple(lo)]
+    return [int(i) for i in np.flatnonzero(ok.ravel() & np.isfinite(score))]
+
+
 # ---------------------------------------------------------------------------
 # stationary-point discovery
 
@@ -176,20 +193,6 @@ def _kt_residual(fg: np.ndarray, gg: np.ndarray) -> float:
     b = np.concatenate([np.zeros(cols.shape[0]), [np.sqrt(W)]])
     w, _ = nnls(A, b)
     return float(np.linalg.norm(cols @ w))
-
-
-def _local_minima_cells(shape, score: np.ndarray) -> list[int]:
-    """Flat indices whose score is <= all axis-neighbours'."""
-    S = score.reshape(shape)
-    ok = np.ones(shape, dtype=bool)
-    for ax in range(len(shape)):
-        lo = [slice(None)] * len(shape)
-        hi = [slice(None)] * len(shape)
-        lo[ax] = slice(1, None)
-        hi[ax] = slice(None, -1)
-        ok[tuple(lo)] &= S[tuple(lo)] <= S[tuple(hi)]
-        ok[tuple(hi)] &= S[tuple(hi)] <= S[tuple(lo)]
-    return [int(i) for i in np.flatnonzero(ok.ravel() & np.isfinite(score))]
 
 
 def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
@@ -277,7 +280,7 @@ def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = 1e-8):
             continue
         score[idx] = _kt_residual(fg, gg)
 
-    seeds = set(_local_minima_cells(tuple(len(a) for a in data.axes), score))
+    seeds = set(local_minima_cells(tuple(len(a) for a in data.axes), score))
     finite = np.flatnonzero(np.isfinite(score))
     best = finite[np.argsort(score[finite], kind="stable")[:32]]
     seeds.update(int(i) for i in best)

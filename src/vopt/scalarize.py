@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import evaluate
-from .gridsearch import cluster_minima, descend, get_grid, grid_size, weighted_phi
+from .gridsearch import (cluster_minima, descend, get_grid, grid_size, local_minima_cells,
+                         weighted_phi)
 from .ktcheck import first_order_kt
 from .memo import RESULTS, memo
 from .problem import DEFAULT_TOL, ProblemDef, active_set, feasible_at, within
@@ -55,7 +56,7 @@ class SaddleVerdict:
     counterexample: np.ndarray | None
     gap: float | None  # L(x_bar, mu_bar) - L(x, mu_bar) at the counterexample
     grid: int
-    polish_seeds: int
+    polish_seeds: int  # the POLISH_SEEDS cap; only the grid-local minima among them descend
 
     @property
     def is_saddle(self) -> bool:
@@ -111,28 +112,34 @@ def lagrangian(P: ProblemDef, lam, mu, x) -> float:
     return float(v)
 
 
+def _polish(P: ProblemDef, lam, mu, grid: int | None, feasible_only: bool):
+    """`_polished_min` keyed by the field: a zero mu is None; no constraints, no feasibility."""
+    mu = mu if mu is not None and np.any(mu) else None
+    return _polished_min(P, lam, mu, grid_size(P, grid), feasible_only and P.n_constraints > 0)
+
+
 @memo(RESULTS)
 def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
-    """Grid scan + descent polish of the weighted field.  Returns candidate
-    (points, values) tuples; grid points keep their exact grid values."""
+    """Grid scan + descent polish of the weighted field, descending only from
+    the grid-local minima (<= every axis neighbour) among the POLISH_SEEDS best
+    cells: one descent per basin.  Returns candidate (points, values) tuples;
+    the POLISH_SEEDS grid points keep their exact grid values."""
     data = get_grid(P, grid)
     phi, dphi = weighted_phi(P, lam, mu)
     vals = (lam @ data.F) if P.n_objectives else np.zeros(data.pts.shape[1])
-    if mu is not None and P.n_constraints and np.asarray(mu).any():
-        vals = vals + np.asarray(mu) @ data.G
-    if feasible_only:
-        mask = data.feasible
-    else:
-        mask = np.isfinite(vals)
+    if mu is not None:
+        vals = vals + mu @ data.G
+    mask = data.feasible if feasible_only else np.isfinite(vals)
     if not mask.any():
         raise NoFeasiblePointInBox("no admissible grid point in the box")
     masked = np.where(mask, vals, np.inf)
     order = np.argsort(masked, kind="stable")[:POLISH_SEEDS]
+    minima = set(local_minima_cells(tuple(map(len, data.axes)), masked))
 
     accept = (lambda y: feasible_at(P, y, 1e-9)) if feasible_only else None
     cand_pts = [data.pts[:, k].copy() for k in order]
     cand_vals = [float(masked[k]) for k in order]
-    for k in order:
+    for k in (k for k in order if k in minima):
         x, fx = descend(phi, dphi, data.pts[:, k], P.lower, P.upper, accept=accept)
         if np.isfinite(fx):
             cand_pts.append(x)
@@ -145,14 +152,14 @@ def solve_weighting(P: ProblemDef, lam, grid: int | None = None) -> MinimizerSet
     clustered; raises NoFeasiblePointInBox when the grid sees no feasible
     point."""
     lam, _ = check_weights(P, lam)
-    return _minimizer_set(*_polished_min(P, lam, None, grid_size(P, grid), feasible_only=True))
+    return _minimizer_set(*_polish(P, lam, None, grid, feasible_only=True))
 
 
 def solve_unconstrained(P: ProblemDef, lam, mu=None, grid: int | None = None) -> MinimizerSet:
     """As solve_weighting but for L(., mu) over the whole box, ignoring
     feasibility."""
     lam, mu = check_weights(P, lam, mu)
-    return _minimizer_set(*_polished_min(P, lam, mu, grid_size(P, grid), feasible_only=False))
+    return _minimizer_set(*_polish(P, lam, mu, grid, feasible_only=False))
 
 
 def _minimizer_set(pts, vals, grid: int) -> MinimizerSet:
@@ -178,7 +185,7 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     )
 
     Lbar = lagrangian(P, lam, mubar, xbar)
-    pts, vals, g = _polished_min(P, lam, mubar, grid_size(P, grid), feasible_only=False)
+    pts, vals, g = _polish(P, lam, mubar, grid, feasible_only=False)
     k = int(np.argmin(vals))
     found = float(vals[k]) < Lbar - COUNTEREXAMPLE_GAP
     return SaddleVerdict(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vopt.cli
 import vopt.memo
 import vopt.problem
 from vopt.cli import main
@@ -16,7 +17,7 @@ from vopt.gridsearch import _grid, find_kt_points, get_grid
 from vopt.invexity import _candidate_triples
 from vopt.ktcheck import classify_point
 from vopt.problem import load_problem, parse_problem
-from vopt.scalarize import _polished_min, solve_weighting
+from vopt.scalarize import _polished_min, check_saddle, solve_unconstrained, solve_weighting
 
 PAIR = "var x1 in [-2, 2]\nvar x2 in [-2, 2]\nmin x1^2 + x2^2\nmin (x1 - 1)^2 + x2^2\n"
 COMMENTED = (
@@ -83,6 +84,16 @@ def test_shared_arrays_are_read_only_and_keep_their_values():
     for a, b in zip(kept, again):
         np.testing.assert_array_equal(a, b)
     assert not any(np.shares_memory(p, data.pts) for p in cand_pts)  # copies, not grid views
+
+
+def test_one_field_is_one_polish_entry():
+    # exB has no constraints: its weighting, its free minimisation and the
+    # saddle check with an empty mu all minimise the same field
+    P = load_problem(vopt.cli.FIXTURES / "exB.vopt")
+    x = solve_weighting(P, [1.0, 0.0]).minimizers[0].point
+    assert solve_unconstrained(P, [1.0, 0.0]).value == solve_weighting(P, [1.0, 0.0]).value
+    assert check_saddle(P, [1.0, 0.0], x, ()).is_saddle
+    assert len(_polished_min.store) == 1
 
 
 def test_a_callers_point_stays_writable():

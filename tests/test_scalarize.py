@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import vopt
+import vopt.memo
+import vopt.scalarize
 from pathlib import Path
 
+from vopt.cli import main
 from vopt.problem import InfeasiblePoint, load_problem, parse_problem
 from vopt.scalarize import (
+    POLISH_SEEDS,
+    VALUE_WINDOW,
     BadWeights,
     NoFeasiblePointInBox,
     check_saddle,
@@ -239,3 +247,92 @@ def test_saddle_roundtrip_with_unconstrained_argmin(exA):
     # and the saddle point is grid-minimal for L
     L1 = lagrangian(exA, [1.0, 0.0], [0.0], [1.0, 0.0])
     assert L1 <= out.value + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the polish against an independent optimiser
+
+
+def _wavy_field(a, b, w, A, k, c, d, lam):
+    """f1 = w1(x1-a)^2 + w2(x2-b)^2 + A sin(k1 x1 + k2 x2), f2 = |x - (c, d)|^2:
+    the weighted field and its gradient as numpy callables."""
+    def phi(x):
+        f1 = w[0] * (x[0] - a) ** 2 + w[1] * (x[1] - b) ** 2 + A * np.sin(k[0] * x[0] + k[1] * x[1])
+        return lam[0] * f1 + lam[1] * ((x[0] - c) ** 2 + (x[1] - d) ** 2)
+
+    def dphi(x):
+        s = A * np.cos(k[0] * x[0] + k[1] * x[1])
+        return np.array([
+            lam[0] * (2 * w[0] * (x[0] - a) + s * k[0]) + lam[1] * 2 * (x[0] - c),
+            lam[0] * (2 * w[1] * (x[1] - b) + s * k[1]) + lam[1] * 2 * (x[1] - d),
+        ])
+
+    return phi, dphi
+
+
+coord = st.floats(-1.5, 1.5)
+
+
+@given(a=coord, b=coord, w=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+       A=st.floats(0.0, 0.5), k=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       c=coord, d=coord, l1=st.floats(0.0, 1.0), disk=st.none() | st.floats(0.5, 3.0))
+@example(a=-0.5682894088404153, b=1.3150238605938416, w=(2.0424730285128323, 1.9101021997178733),
+         A=0.05952962768850001, k=(0.9781317002122434, 1.935986870644515),
+         c=0.11518913963173394, d=0.9347622082402522, l1=0.9680567336209409, disk=None)
+@settings(max_examples=40, deadline=None)
+def test_polish_is_no_worse_than_lbfgsb_from_the_best_cells(a, b, w, A, k, c, d, l1, disk):
+    # the pinned field is a stiff valley: with a sufficient-decrease constant
+    # of 1e-4, every descent on it ends at the 300-step cap with |grad| ~ 1e-2,
+    # and the one descent from the best grid cell misses the minimum
+    lam = (l1, 1.0 - l1)
+    text = (
+        "var x1 in [-2, 2]\nvar x2 in [-2, 2]\n"
+        f"min ({w[0]!r})*(x1 - ({a!r}))^2 + ({w[1]!r})*(x2 - ({b!r}))^2"
+        f" + ({A!r})*sin(({k[0]!r})*x1 + ({k[1]!r})*x2)\n"
+        f"min (x1 - ({c!r}))^2 + (x2 - ({d!r}))^2\n"
+        + (f"st x1^2 + x2^2 - ({disk!r}) <= 0\n" if disk is not None else "")
+    )
+    P = parse_problem(text)
+    got = solve_unconstrained(P, lam).value
+
+    phi, dphi = _wavy_field(a, b, w, A, k, c, d, lam)
+    axis = np.linspace(-2.0, 2.0, 201)
+    X1, X2 = np.meshgrid(axis, axis, indexing="ij")
+    field = phi(np.array([X1.ravel(), X2.ravel()]))
+    starts = np.stack([X1.ravel(), X2.ravel()], axis=1)[np.argsort(field, kind="stable")[:POLISH_SEEDS]]
+    best = min(
+        minimize(phi, x0, jac=dphi, method="L-BFGS-B", bounds=[(-2.0, 2.0)] * 2,
+                 options={"ftol": 1e-15, "gtol": 1e-12}).fun
+        for x0 in starts
+    )
+    assert got <= best + VALUE_WINDOW * (1.0 + abs(best))
+
+
+# ---------------------------------------------------------------------------
+# the descent budget of one paper-examples pass
+
+PAPER_PASS = [["reproduce-example", e] for e in ("4.1", "5.1", "5.2")] + [
+    ["classify", f"{f}.vopt", "--class", "all"] for f in ("exA", "exB", "exBprime", "exC")
+]
+
+
+def test_paper_pass_descends_each_basin_once_and_converges(monkeypatch, capsys):
+    steps = []  # gradient evaluations per descent, one per iteration of its loop
+    inner = vopt.scalarize.descend
+
+    def counted(phi, dphi, *args, **kwargs):
+        steps.append(0)
+
+        def counting_dphi(x):
+            steps[-1] += 1
+            return dphi(x)
+
+        return inner(phi, counting_dphi, *args, **kwargs)
+
+    monkeypatch.setattr(vopt.scalarize, "descend", counted)
+    vopt.memo.clear()
+    for argv in PAPER_PASS:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert 0 < len(steps) <= 150
+    assert max(steps) < 300  # no descent runs into its step cap
