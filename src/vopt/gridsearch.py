@@ -89,35 +89,37 @@ def weighted_phi(P: ProblemDef, lam, mu):
     return phi, dphi
 
 
-def descend(phi, dphi, x0, lower, upper, steps: int = 300, accept=None):
-    """Projected gradient descent with backtracking.  A step must win half the
-    decrease its first-order model predicts (not the usual 1e-4), so steps near
-    2/L that bounce across a stiff valley are refused.  `accept` may reject
-    iterates (feasibility by rejection); the final point always satisfies it.
-    Returns (x, phi(x))."""
+def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
+    """Projected gradient descent with backtracking; gradient components that
+    push out of a box face are dropped.  A step must win half the decrease
+    g·(x - y) predicted along the projection (not the usual 1e-4), so steps
+    near 2/L that bounce across a stiff valley are refused.  `restore`, if
+    given, replaces the clip: it maps a trial point to a feasible one in the
+    box, or to None to refuse it.  Returns (x, phi(x))."""
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     fx = phi(x)
     if not np.isfinite(fx):
         return x, fx
     for _ in range(steps):
         g = dphi(x)
+        g = np.where(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)), 0.0, g)
         gn = float(np.linalg.norm(g))
         if not np.isfinite(gn) or gn <= 1e-14:
             break
         t = 1.0 / max(gn, 1.0)
         moved = False
         while t > 1e-14:
-            y = np.clip(x - t * g, lower, upper)
-            if accept is None or accept(y):
-                fy = phi(y)
-                if np.isfinite(fy) and fy < fx - 0.5 * t * gn * gn:
-                    if float(np.linalg.norm(y - x)) < 1e-13:
-                        t = 0.0
-                        break
-                    x, fx = y, fy
-                    moved = True
-                    break
+            y = np.clip(x - t * g, lower, upper) if restore is None else restore(x - t * g)
             t *= 0.5
+            if y is None:
+                continue
+            if float(np.linalg.norm(y - x)) < 1e-13:
+                break
+            fy, pred = phi(y), float(g @ (x - y))
+            if pred > 0 and np.isfinite(fy) and fy < fx - 0.5 * pred:
+                moved = fx - fy > 1e-15 * (1.0 + abs(fy))  # else stop: rounding-level gain
+                x, fx = y, fy
+                break
         if not moved:
             break
     return x, fx

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import evaluate
+from .expr import ExprError, evaluate, grad
 from .gridsearch import (cluster_minima, descend, get_grid, grid_size, local_minima_cells,
                          weighted_phi)
 from .ktcheck import first_order_kt
@@ -56,7 +56,7 @@ class SaddleVerdict:
     counterexample: np.ndarray | None
     gap: float | None  # L(x_bar, mu_bar) - L(x, mu_bar) at the counterexample
     grid: int
-    polish_seeds: int  # the POLISH_SEEDS cap; only the grid-local minima among them descend
+    polish_seeds: int  # the POLISH_SEEDS cap, not the number of descents that ran
 
     @property
     def is_saddle(self) -> bool:
@@ -120,10 +120,12 @@ def _polish(P: ProblemDef, lam, mu, grid: int | None, feasible_only: bool):
 
 @memo(RESULTS)
 def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
-    """Grid scan + descent polish of the weighted field, descending only from
-    the grid-local minima (<= every axis neighbour) among the POLISH_SEEDS best
-    cells: one descent per basin.  Returns candidate (points, values) tuples;
-    the POLISH_SEEDS grid points keep their exact grid values."""
+    """Grid scan + descent polish of the weighted field.  Of the POLISH_SEEDS
+    best cells, only grid-local minima (<= every axis neighbour) and cells on
+    the edge of the admissible set descend: one descent per interior basin,
+    while the grid cannot resolve basins along a curved boundary.  Returns
+    candidate (points, values) tuples; the POLISH_SEEDS grid points keep their
+    exact grid values."""
     data = get_grid(P, grid)
     phi, dphi = weighted_phi(P, lam, mu)
     vals = (lam @ data.F) if P.n_objectives else np.zeros(data.pts.shape[1])
@@ -134,17 +136,42 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
         raise NoFeasiblePointInBox("no admissible grid point in the box")
     masked = np.where(mask, vals, np.inf)
     order = np.argsort(masked, kind="stable")[:POLISH_SEEDS]
-    minima = set(local_minima_cells(tuple(map(len, data.axes)), masked))
+    shape = tuple(map(len, data.axes))
+    M = np.pad(mask.reshape(shape), 1, constant_values=True)  # a box face is no edge
+    near = [np.roll(M, d, a)[(slice(1, -1),) * len(shape)] for a in range(len(shape)) for d in (1, -1)]
+    edge = mask & ~np.logical_and.reduce(near).ravel()  # an inadmissible axis neighbour
+    minima = set(local_minima_cells(shape, masked))
 
-    accept = (lambda y: feasible_at(P, y, 1e-9)) if feasible_only else None
+    restore = (lambda y: _restore(P, y)) if feasible_only else None
     cand_pts = [data.pts[:, k].copy() for k in order]
     cand_vals = [float(masked[k]) for k in order]
-    for k in (k for k in order if k in minima):
-        x, fx = descend(phi, dphi, data.pts[:, k], P.lower, P.upper, accept=accept)
+    for k in (k for k in order if k in minima or edge[k]):
+        x, fx = descend(phi, dphi, data.pts[:, k], P.lower, P.upper, restore=restore)
         if np.isfinite(fx):
             cand_pts.append(x)
             cand_vals.append(fx)
     return tuple(cand_pts), tuple(cand_vals), data.grid
+
+
+def _restore(P: ProblemDef, y):
+    """The clipped trial point if it is strictly feasible; else y moved onto
+    the feasible set by minimum-norm Newton steps on its violated constraints
+    (unclipped, so clipping does not turn the step, and past the tolerance, so
+    iterates do not creep along it), then clipped; None if 8 steps fail."""
+    if feasible_at(P, np.clip(y, P.lower, P.upper), 0.0):
+        return np.clip(y, P.lower, P.upper)
+    for _ in range(8):
+        try:
+            gv = np.array([evaluate(g, y) for g in P.constraints])
+            bad = np.flatnonzero(gv > 0)
+            J = np.array([grad(P.constraints[j], y) for j in bad]).reshape(-1, P.dim)
+        except ExprError:
+            return None
+        if not bad.size or not (np.isfinite(gv).all() and np.isfinite(J).all()):
+            break
+        y = y - np.linalg.lstsq(J, gv[bad], rcond=None)[0]
+    y = np.clip(y, P.lower, P.upper)
+    return y if feasible_at(P, y, 1e-9) else None
 
 
 def solve_weighting(P: ProblemDef, lam, grid: int | None = None) -> MinimizerSet:

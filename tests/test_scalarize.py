@@ -270,20 +270,35 @@ def _wavy_field(a, b, w, A, k, c, d, lam):
     return phi, dphi
 
 
-coord = st.floats(-1.5, 1.5)
+coord = st.floats(-3.0, 3.0)  # some minima fall on or outside the box faces
 
 
 @given(a=coord, b=coord, w=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
        A=st.floats(0.0, 0.5), k=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-       c=coord, d=coord, l1=st.floats(0.0, 1.0), disk=st.none() | st.floats(0.5, 3.0))
+       c=coord, d=coord, l1=st.floats(0.0, 1.0), disk=st.none() | st.floats(0.5, 6.0))
 @example(a=-0.5682894088404153, b=1.3150238605938416, w=(2.0424730285128323, 1.9101021997178733),
          A=0.05952962768850001, k=(0.9781317002122434, 1.935986870644515),
          c=0.11518913963173394, d=0.9347622082402522, l1=0.9680567336209409, disk=None)
+@example(a=-2.5, b=0.011, w=(0.1, 1.0), A=0.0, k=(0.0, 0.0), c=0.0, d=0.0, l1=1.0, disk=None)
+@example(a=-2.4879662953840396, b=-0.30610807612442237, w=(2.5745985804726446, 0.6204210289393262),
+         A=0.2376123121460118, k=(0.4950135104111464, 1.6189218690049145),
+         c=-1.252821614124762, d=0.1673102679830416, l1=0.9409769625013746, disk=1.876519703087692)
+@example(a=1.174268116874746, b=-1.8271049221404219, w=(1.640526757308496, 2.539408519480406),
+         A=0.24326021665157743, k=(-0.14433077939803907, -1.4503535995347787),
+         c=2.8310244996666727, d=1.0269046817363758, l1=0.15613548139069233, disk=2.279051447202294)
 @settings(max_examples=40, deadline=None)
-def test_polish_is_no_worse_than_lbfgsb_from_the_best_cells(a, b, w, A, k, c, d, l1, disk):
-    # the pinned field is a stiff valley: with a sufficient-decrease constant
-    # of 1e-4, every descent on it ends at the 300-step cap with |grad| ~ 1e-2,
-    # and the one descent from the best grid cell misses the minimum
+def test_polish_is_no_worse_than_scipy_from_the_best_cells(a, b, w, A, k, c, d, l1, disk):
+    # the first pinned field is a stiff valley: with a sufficient-decrease
+    # constant of 1e-4, every descent on it ends at the 300-step cap with
+    # |grad| ~ 1e-2, and the one descent from the best grid cell misses the
+    # minimum.  The second has its minimum on the face x1 = -2 with a steep
+    # outward slope: a decrease test that counts the clipped-away part of the
+    # gradient refuses every step along the face.  The two disk fields have
+    # their minimum on the circle: on the first, the grid-local minimum of the
+    # staircase of admissible cells lies in the wrong boundary basin; the
+    # second sits 0.5 from the face x1 = 2, so a long trial step leaves the
+    # box, and clipping it before it is pulled back onto the circle would turn
+    # it sideways.
     lam = (l1, 1.0 - l1)
     text = (
         "var x1 in [-2, 2]\nvar x2 in [-2, 2]\n"
@@ -293,18 +308,23 @@ def test_polish_is_no_worse_than_lbfgsb_from_the_best_cells(a, b, w, A, k, c, d,
         + (f"st x1^2 + x2^2 - ({disk!r}) <= 0\n" if disk is not None else "")
     )
     P = parse_problem(text)
-    got = solve_unconstrained(P, lam).value
+    got = (solve_unconstrained(P, lam) if disk is None else solve_weighting(P, lam)).value
 
     phi, dphi = _wavy_field(a, b, w, A, k, c, d, lam)
     axis = np.linspace(-2.0, 2.0, 201)
     X1, X2 = np.meshgrid(axis, axis, indexing="ij")
-    field = phi(np.array([X1.ravel(), X2.ravel()]))
-    starts = np.stack([X1.ravel(), X2.ravel()], axis=1)[np.argsort(field, kind="stable")[:POLISH_SEEDS]]
-    best = min(
-        minimize(phi, x0, jac=dphi, method="L-BFGS-B", bounds=[(-2.0, 2.0)] * 2,
-                 options={"ftol": 1e-15, "gtol": 1e-12}).fun
-        for x0 in starts
-    )
+    cells = np.stack([X1.ravel(), X2.ravel()])
+    field = phi(cells)
+    oracle = {"method": "L-BFGS-B", "options": {"ftol": 1e-15, "gtol": 1e-12}}
+    if disk is not None:
+        field = np.where((cells**2).sum(axis=0) <= disk, field, np.inf)
+        in_disk = {"type": "ineq", "fun": lambda x: disk - x @ x, "jac": lambda x: -2.0 * x}
+        oracle = {"method": "SLSQP", "constraints": [in_disk], "options": {"ftol": 1e-15, "maxiter": 500}}
+    runs = [minimize(phi, x0, jac=dphi, bounds=[(-2.0, 2.0)] * 2, **oracle)
+            for x0 in cells.T[np.argsort(field, kind="stable")[:POLISH_SEEDS]]]
+    if disk is not None:  # SLSQP may end just outside the disk; keep feasible results
+        runs = [r for r in runs if r.x @ r.x - disk <= 1e-9 * (1.0 + abs(r.x @ r.x - disk))]
+    best = min(r.fun for r in runs)
     assert got <= best + VALUE_WINDOW * (1.0 + abs(best))
 
 
