@@ -3,16 +3,18 @@
 Every subcommand prints a short human summary and, with --json PATH, writes
 a report {version, problem_sha256, command, seed, payload, elapsed_ms} with
 sorted keys, so the same invocation and seed reproduce the same payload.
-Exit codes: 0 ok, 1 usage or parse failure, 2 infeasible point, empty
-domain, bad weights or an expression undefined at the given point,
-3 numerical breakdown or a failed reproduction diff.
+Exit codes: 0 ok, 1 usage or parse failure or stdout closed early, 2 infeasible
+point, empty domain, bad weights or an expression undefined at the given
+point, 3 numerical breakdown or a failed reproduction diff.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -318,8 +320,7 @@ def _report_core(report: dict) -> dict:
 
 def run_for_report(argv: list[str]) -> dict:
     """Run one subcommand in-process and return its report dict."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     payload, _, digest = _DISPATCH[args.cmd](args)
     return _assemble(argv, args, payload, digest, time.perf_counter() - t0)
@@ -403,6 +404,7 @@ def _add_common(sub, grid=True, dirs=True):
     sub.add_argument("--json", type=Path, default=None, help="write the JSON report here")
 
 
+@functools.cache  # parse_args keeps no state between calls, so one parser serves them all
 def build_parser() -> _Parser:
     parser = _Parser(prog="vopt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vopt {__version__}")
@@ -467,9 +469,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     t0 = time.perf_counter()
@@ -487,7 +488,12 @@ def main(argv=None) -> int:
     report = _assemble(argv, args, payload, digest, time.perf_counter() - t0)
     if args.json is not None:
         args.json.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader left: point stdout at devnull so exit's flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the summary was written", file=sys.stderr)
+        return 1
     if args.cmd == "reproduce-example" and not payload["all_match"]:
         return 3
     return 0

@@ -200,15 +200,14 @@ def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
 
     if dirs is None:
         return tuple(kept)
-    verdict = classify_point(P, x, tol=tol, dirs=dirs, seed=seed)
-    seconds = [m.second(o.analysis.direction) for o in verdict.per_direction]
+    outcomes = classify_point(P, x, tol=tol, dirs=dirs, seed=seed).per_direction
 
     def bends_down(lam, mu, f2, g2) -> bool:
         cur = float(lam @ f2) + (float(mu[act] @ g2) if g2.size else 0.0)
         return cur < -tol * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
 
     return tuple((lam, mu) for lam, mu in kept
-                 if not any(bends_down(lam, mu, f2, g2) for f2, g2 in seconds))
+                 if not any(bends_down(lam, mu, o.f2, o.g2) for o in outcomes))
 
 
 def _saddle_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:

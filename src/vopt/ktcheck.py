@@ -10,7 +10,7 @@ satisfy it up to solver feasibility tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,13 @@ class NotCritical(Exception):
 
 @dataclass(frozen=True, eq=False)
 class DirectionOutcome:
+    """A tested critical direction d: its analysis, f''(x; d) of every objective
+    (f2) and active constraint (g2), and *a* pair with L''(x; d) >= 0 on the
+    band (not necessarily the LP's max-curvature pair), or None if none is."""
+
     analysis: DirectionAnalysis
+    f2: np.ndarray
+    g2: np.ndarray
     multipliers: MultiplierPair | None
 
 
@@ -107,26 +113,32 @@ def second_order_multipliers(
     """Multipliers certifying the second-order condition along one critical
     direction: stationarity rows, curvature row L''(x; d) >= 0, and the
     chosen normalization.  `d` may be a vector or a ready DirectionAnalysis."""
+    da, f2, g2 = _critical_seconds(P, x, d, tol)
+    return da.model.multipliers(f2, g2, *_supports(da, mode), normalization=normalization)
+
+
+def _critical_seconds(P: ProblemDef, x, d, tol: float):
+    """d's analysis (d may be a ready one) and (f2, g2); NotCritical unless critical."""
     da = d if isinstance(d, DirectionAnalysis) else analyze_direction(P, x, d, tol)
-    return _second_order(da, mode, normalization)
-
-
-def _critical_seconds(da: DirectionAnalysis) -> tuple[np.ndarray, np.ndarray]:
     if not da.is_critical:
         raise NotCritical(f"direction {da.direction} is not critical at {da.point}")
-    return da.model.second(da.direction)
+    return (da, *da.model.second(da.direction))
 
 
-def _second_order(da: DirectionAnalysis, mode: str, normalization: str) -> MultiplierPair | None:
-    f2, g2 = _critical_seconds(da)
-    support = mode == MODE_SUPPORT
-    return da.model.multipliers(
-        f2,
-        g2,
-        obj_support=da.zero_objectives if support else None,
-        con_support=da.zero_constraints if support else None,
-        normalization=normalization,
-    )
+def _supports(da: DirectionAnalysis, mode: str):  # the LP's columns: all, or I(x,d), J(x,d)
+    return (da.zero_objectives, da.zero_constraints) if mode == MODE_SUPPORT else (None, None)
+
+
+def _reused(pool, f2, g2, act, obj, con) -> MultiplierPair | None:
+    """The first pair of `pool` that vanishes off the supports `obj`, `con`
+    (when given) and has λ·f2 + μ·g2 >= 0 exactly, with that curvature."""
+    for pair in pool:
+        if obj is not None and (np.delete(pair.lam, obj).any() or np.delete(pair.mu, con).any()):
+            continue
+        curvature = float(pair.lam @ f2 + pair.mu[act] @ g2)
+        if curvature >= 0.0:
+            return replace(pair, curvature=curvature)
+    return None
 
 
 @memo(RESULTS)
@@ -141,22 +153,34 @@ def classify_point(
 ) -> StationarityVerdict:
     """First-order test, then second-order multipliers over the sampled
     critical directions.  SecondOrderKT means every tested direction admits
-    a pair; the verdict is relative to `dirs` resolution."""
+    a pair; the verdict is relative to `dirs` resolution.  The band does not
+    depend on d, so any pair accepted here (the first-order pair, then each
+    LP pair) that bends upward along d settles it (see `_reused`); the LP
+    runs only when none does, once per distinct (f2, g2)."""
     m = LocalModel(P, x, tol)
     fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
                                    per_direction=(), directions_tested=0)
-    outcomes = tuple(
-        DirectionOutcome(analysis=da, multipliers=_second_order(da, mode, normalization))
-        for da in m.critical_directions(dirs, seed)
-    )
+    pool, failed, act, outcomes = [fo], set(), list(m.active.indices), []
+    for da in m.critical_directions(dirs, seed):
+        f2, g2 = m.second(da.direction)
+        obj, con = _supports(da, mode)
+        key = (f2.tobytes(), g2.tobytes(), obj, con)  # f''(x; -d) = f''(x; d): one LP for both
+        pair = None if key in failed else _reused(pool, f2, g2, act, obj, con)
+        if pair is None and key not in failed:
+            pair = m.multipliers(f2, g2, obj, con, normalization=normalization)
+            if pair is None:
+                failed.add(key)
+            else:
+                pool.append(pair)
+        outcomes.append(DirectionOutcome(analysis=da, f2=f2, g2=g2, multipliers=pair))
     all_ok = all(o.multipliers is not None for o in outcomes)
     return StationarityVerdict(
         point=m.point,
         level=SECOND_ORDER_KT if all_ok else FIRST_ORDER_ONLY,
         first_order=fo,
-        per_direction=outcomes,
+        per_direction=tuple(outcomes),
         directions_tested=len(outcomes),
     )
 
@@ -166,8 +190,7 @@ def primal_necessary(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> PrimalVer
     every h_i with index in I(x,d) (objectives) and J(x,d) (constraints).
     Inconsistency is certified by the multiplier system of the alternative
     theorem, which is exactly a Fritz John second-order pair on I ∪ J."""
-    da = d if isinstance(d, DirectionAnalysis) else analyze_direction(P, x, d, tol)
-    f2, g2 = _critical_seconds(da)
+    da, f2, g2 = _critical_seconds(P, x, d, tol)
     idx_f = da.zero_objectives
     idx_g = [da.active.indices.index(j) for j in da.zero_constraints]  # rows of Gg
     if not idx_f and not idx_g:

@@ -362,7 +362,7 @@ class LocalModel:
         D[nonzero] /= norms[nonzero, None]
         fp, gp = self.Gf @ D.T, self.Gg @ D.T  # one column per direction
         f_tols, g_tols = self.f_tols[:, None], self.g_tols[:, None]
-        critical = (fp <= f_tols).all(axis=0) & (gp <= g_tols).all(axis=0)
+        critical = self._critical(fp, gp)
         f_zero, g_zero = np.abs(fp) <= f_tols, np.abs(gp) <= g_tols
         idx = self.active.indices
         return [
@@ -377,6 +377,10 @@ class LocalModel:
             )
             for k in range(len(D))
         ]
+
+    def _critical(self, fp, gp) -> np.ndarray:
+        """Per column of the products: nothing increases beyond its tolerance."""
+        return (fp <= self.f_tols[:, None]).all(axis=0) & (gp <= self.g_tols[:, None]).all(axis=0)
 
     def second(self, d) -> tuple[np.ndarray, np.ndarray]:
         """Second directional derivatives along d: (f_i''(x; d) for every
@@ -411,7 +415,9 @@ class LocalModel:
                 continue
             units[kept] = unit
             kept += 1
-        return [da for da in self.directions(units[:kept]) if da.is_critical]
+        units = units[:kept]
+        units = units[self._critical(self.Gf @ units.T, self.Gg @ units.T)]  # analyse these only
+        return [da for da in self.directions(units) if da.is_critical]
 
     def _cone_edge_rays(self) -> list[np.ndarray]:
         """Null directions of (s-1)-subsets of the gradient rows: candidates for

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vopt.cli import main, run_for_report
+import vopt
+from vopt.cli import build_parser, main, run_for_report
 
 QUAD = "var x1 in [-1, 1]\nmin x1^2\n"
 
@@ -218,3 +223,32 @@ def test_classify_all_audit(capsys):
     assert [v["class"] for v in pay["verdicts"]][0] == "KTSPInvex"
     assert len(pay["verdicts"]) == 8
     assert pay["violations"] == []
+
+
+def test_consecutive_mains_share_one_parser_but_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    report = tmp_path / "saddle.json"
+    saddle = ["saddle", "exA.vopt", "--point", "0,0", "--lambda", "0.5,0.5", "--grid", "11"]
+    assert main([*saddle, "--mu", "0.25", "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["payload"]["mu"] == [0.25]
+    report.unlink()
+    assert main(["weighting", "exB.vopt", "--lambda", "1,0", "--grid", "11"]) == 0
+    assert main(saddle) == 0  # no --json and no --mu: neither carries over
+    assert list(tmp_path.iterdir()) == []
+    assert run_for_report(saddle)["payload"]["mu"] == [0.0]
+    assert main(["scan", "exA.vopt", "--grid", "1"]) == 1
+    weighting = run_for_report(["weighting", "exB.vopt", "--lambda", "0,1", "--grid", "11"])
+    assert weighting["payload"]["grid"] == 11
+    capsys.readouterr()
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(vopt.__file__).parents[1])}
+    argv = [sys.executable, "-m", "vopt.cli", "weighting", "exB.vopt", "--lambda", "0.5,0.5",
+            "--grid", "11"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader leaves before vopt prints anything
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

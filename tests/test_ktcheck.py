@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 import vopt
 import vopt.expr
+import vopt.ktcheck
+import vopt.memo
+import vopt.problem
 from pathlib import Path
 
+from conftest import PAPER_PASS
+from vopt.cli import main
+from vopt.gridsearch import find_kt_points
 from vopt.ktcheck import (
     FIRST_ORDER_ONLY,
     FRITZ_JOHN,
@@ -303,3 +309,130 @@ def test_first_order_when_the_ratio_test_minimum_is_below_minus_one():
     assert pair is not None
     assert pair.lam.sum() == pytest.approx(1.0, abs=1e-9)
     assert pair.residual <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# second-order certificates: one LP per distinct question
+
+
+def test_paper_pass_lp_budget(monkeypatch, capsys):
+    # The band is the same for every direction at a point, so an accepted pair
+    # that bends upward along d settles d; one LP per direction made 587 LPs a
+    # pass, 436 of them second-order, and analysed 2,576 directions to test 436.
+    lps, built, tested = [], [], []
+    solve, directions = vopt.problem.solve_lp, vopt.problem.LocalModel.directions
+    outcome = vopt.ktcheck.DirectionOutcome
+
+    def counted_solve(p):
+        lps.append(p)
+        return solve(p)
+
+    def counted_directions(self, D):
+        out = directions(self, D)
+        built.extend(out)
+        return out
+
+    def counted_outcome(**kw):
+        tested.append(kw)
+        return outcome(**kw)
+
+    monkeypatch.setattr(vopt.problem, "solve_lp", counted_solve)
+    monkeypatch.setattr(vopt.problem.LocalModel, "directions", counted_directions)
+    monkeypatch.setattr(vopt.ktcheck, "DirectionOutcome", counted_outcome)
+    vopt.memo.clear()
+    for argv in PAPER_PASS:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert 0 < len(lps) <= 260
+    assert 0 < len(built) <= len(tested)
+
+
+# closed forms of the fixtures' objectives and constraints: (value, gradient,
+# Hessian) of each, for a check that does not go through vopt's derivatives
+def _quartic_disk_pair(x1, x2):
+    r2 = x1 * x1 + x2 * x2
+    f1 = (r2 * r2 - 2 * x1**2 + 2 * x2**2, [4 * x1 * r2 - 4 * x1, 4 * x2 * r2 + 4 * x2],
+          [[4 * r2 + 8 * x1**2 - 4, 8 * x1 * x2], [8 * x1 * x2, 4 * r2 + 8 * x2**2 + 4]])
+    f2 = ((x1**2 - 1) ** 2 + 2 * x2**2, [4 * x1 * (x1**2 - 1), 4 * x2], [[12 * x1**2 - 4, 0], [0, 4]])
+    g = (r2 - 1, [2 * x1, 2 * x2], [[2, 0], [0, 2]])
+    return [f1, f2], [g]
+
+
+def _segment_pair(x1, x2):
+    f1 = (2 * x1 * x2 - 2 * x1**2 - x2**2 + 8 * x1 - 6 * x2,
+          [2 * x2 - 4 * x1 + 8, 2 * x1 - 2 * x2 - 6], [[-4, 2], [2, -2]])
+    f2 = (-x1 + x2, [-1, 1], [[0, 0], [0, 0]])
+    g = (x1 - x1**2 + x2, [1 - 2 * x1, 1], [[-2, 0], [0, 0]])
+    return [f1, f2], [g]
+
+
+def _certificates_hold(P, x, closed, tol=1e-8):
+    """Every direction classify_point tests: its pair exists exactly when the
+    second-order LP finds one, and re-verifies in plain numpy from the closed
+    forms: signs, support, Σλ = 1, curvature and the stationarity band."""
+    fs, gs = closed(*x)
+    Gf, Gg = (np.array([r[1] for r in rows], dtype=float).reshape(-1, 2) for rows in (fs, gs))
+    for mode in ("plain", MODE_SUPPORT):
+        v = classify_point(P, x, tol=tol, dirs=16, mode=mode)
+        for o in v.per_direction:
+            pair, d = o.multipliers, o.analysis.direction
+            assert (pair is None) == (second_order_multipliers(P, x, o.analysis, tol, mode) is None)
+            if pair is None:
+                continue
+            lam, mu = pair.lam, pair.mu
+            assert (lam >= 0).all() and (mu >= 0).all()
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            for j, (gj, _, _) in enumerate(gs):
+                assert mu[j] == 0.0 or abs(gj) <= 2 * tol * (1 + abs(gj))
+            if mode == MODE_SUPPORT:
+                assert pair.supported_on(o.analysis.zero_objectives, o.analysis.zero_constraints, 0.0)
+            curvature = sum(w * d @ np.array(h, dtype=float) @ d
+                            for w, (_, _, h) in zip((*lam, *mu), (*fs, *gs)))
+            assert curvature >= -tol and pair.curvature == pytest.approx(curvature, abs=1e-9)
+            # the band of LocalModel.multipliers, with rows scaled by max(|row|, 1)
+            # and Σλ = 1 on the scaled rows
+            fn, gn = np.linalg.norm(Gf, axis=1), np.linalg.norm(Gg, axis=1)
+            scaled = lam @ np.maximum(fn, 1.0)
+            residual = np.abs(lam @ Gf + mu @ Gg).max()
+            assert residual <= tol * (scaled + lam @ fn + mu @ gn) * (1 + 1e-6) + 1e-12 * scaled
+
+
+@pytest.mark.parametrize("name, x, closed", [
+    ("exA", [0.0, 0.0], _quartic_disk_pair),
+    ("exA", [1.0, 0.0], _quartic_disk_pair),
+    ("exA", [-1.0, 0.0], _quartic_disk_pair),
+    ("exC", [1.0, -1.0], _segment_pair),
+])
+def test_fixture_certificates_reverify(name, x, closed):
+    _certificates_hold(load_problem(FIX / f"{name}.vopt"), np.array(x), closed)
+
+
+_coef = st.integers(min_value=-3, max_value=3)
+# an objective that is identically zero makes every point of the box a KT
+# point, and a scan then takes seconds; such problems are left out for time
+_quadratic = st.tuples(_coef, _coef, _coef, _coef, _coef).filter(any)
+
+
+@given(obj=st.lists(_quadratic, min_size=2, max_size=2),
+       disk=st.sampled_from([None, 0.5, 1.0, 1.5]))
+@settings(max_examples=40, deadline=None)
+def test_quadratic_certificates_reverify(obj, disk):
+    # f_i = a x1^2 + b x2^2 + c x1 x2 + p x1 + q x2, optionally on a disk
+    text = "var x1 in [-2, 2]\nvar x2 in [-2, 2]\n" + "".join(
+        f"min ({a})*x1^2 + ({b})*x2^2 + ({c})*x1*x2 + ({p})*x1 + ({q})*x2\n"
+        for a, b, c, p, q in obj)
+    if disk is not None:
+        text += f"st x1^2 + x2^2 - {disk * disk!r} <= 0\n"
+    P = parse_problem(text)
+
+    def closed(x1, x2):
+        fs = [(a * x1**2 + b * x2**2 + c * x1 * x2 + p * x1 + q * x2,
+               [2 * a * x1 + c * x2 + p, 2 * b * x2 + c * x1 + q], [[2 * a, c], [c, 2 * b]])
+              for a, b, c, p, q in obj]
+        gs = [] if disk is None else [(x1**2 + x2**2 - disk * disk, [2 * x1, 2 * x2],
+                                       [[2, 0], [0, 2]])]
+        return fs, gs
+
+    points = find_kt_points(P, grid=41)
+    for x in points[:: -(-len(points) // 4) or 1]:  # at most four, spread along the list
+        _certificates_hold(P, np.asarray(x, dtype=float), closed)

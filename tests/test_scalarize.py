@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from conftest import PAPER_PASS
+
 import vopt
 import vopt.memo
 import vopt.scalarize
@@ -330,11 +332,6 @@ def test_polish_is_no_worse_than_scipy_from_the_best_cells(a, b, w, A, k, c, d, 
 
 # ---------------------------------------------------------------------------
 # the descent budget of one paper-examples pass
-
-PAPER_PASS = [["reproduce-example", e] for e in ("4.1", "5.1", "5.2")] + [
-    ["classify", f"{f}.vopt", "--class", "all"] for f in ("exA", "exB", "exBprime", "exC")
-]
-
 
 def test_paper_pass_descends_each_basin_once_and_converges(monkeypatch, capsys):
     steps = []  # gradient evaluations per descent, one per iteration of its loop
