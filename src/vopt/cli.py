@@ -3,9 +3,9 @@
 Every subcommand prints a short human summary and, with --json PATH, writes
 a report {version, problem_sha256, command, seed, payload, elapsed_ms} with
 sorted keys, so the same invocation and seed reproduce the same payload.
-Exit codes: 0 ok, 1 usage or parse failure or stdout closed early, 2 infeasible
-point, empty domain, bad weights or an expression undefined at the given
-point, 3 numerical breakdown or a failed reproduction diff.
+Exit codes: 0 ok, 1 usage or parse failure, an oversized grid or stdout closed
+early, 2 infeasible point, empty domain, bad weights or an expression undefined
+at the given point, 3 numerical breakdown or a failed reproduction diff.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .expr import ExprError
-from .gridsearch import find_kt_points
+from .gridsearch import GridTooLarge, find_kt_points
 from .invexity import check_class, inclusion_audit
 from .ktcheck import classify_point
 from .linprog import (BlockShapeError, MultiplierWitness, NumericalBreakdown, decide_alternative,
@@ -476,7 +476,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         payload, lines, digest = _DISPATCH[args.cmd](args)
-    except (UsageError, ParseError, EmptyObjectives, BadBounds, BlockShapeError, OSError) as e:
+    except (UsageError, ParseError, EmptyObjectives, BadBounds, BlockShapeError, GridTooLarge,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (InfeasiblePoint, NoFeasiblePointInBox, BadWeights, ExprError) as e:

@@ -20,6 +20,7 @@ from .problem import InfeasiblePoint, ProblemDef, within
 
 __all__ = [
     "GridData",
+    "GridTooLarge",
     "grid_size",
     "get_grid",
     "descend",
@@ -30,6 +31,11 @@ __all__ = [
 ]
 
 FEAS_EPS = 1e-9
+MAX_GRID_POINTS = 25_000_000  # the default grid of 7 variables, 11^7, still fits
+
+
+class GridTooLarge(Exception):
+    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +54,11 @@ def grid_size(P: ProblemDef, grid: int | None = None) -> int:
 
 
 def get_grid(P: ProblemDef, grid: int | None = None) -> GridData:
-    return _grid(P, grid_size(P, grid))
+    g = grid_size(P, grid)
+    if g**P.dim > MAX_GRID_POINTS:  # refused before anything is allocated
+        raise GridTooLarge(f"a grid of {g} points per axis over {P.dim} variables has"
+                           f" {g**P.dim} points, more than {MAX_GRID_POINTS}")
+    return _grid(P, g)
 
 
 @memo(GRIDS)
@@ -116,7 +126,7 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
             if float(np.linalg.norm(y - x)) < 1e-13:
                 break
             fy, pred = phi(y), float(g @ (x - y))
-            if pred > 0 and np.isfinite(fy) and fy < fx - 0.5 * pred:
+            if pred > 0 and np.isfinite(fy) and fy <= fx - 0.5 * pred:
                 moved = fx - fy > 1e-15 * (1.0 + abs(fy))  # else stop: rounding-level gain
                 x, fx = y, fy
                 break

@@ -9,6 +9,7 @@ never the whole open region.  Reports carry the resolution used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +122,11 @@ def _polish(P: ProblemDef, lam, mu, grid: int | None, feasible_only: bool):
 @memo(RESULTS)
 def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     """Grid scan + descent polish of the weighted field.  Of the POLISH_SEEDS
-    best cells, only grid-local minima (<= every axis neighbour) and cells on
-    the edge of the admissible set descend: one descent per interior basin,
-    while the grid cannot resolve basins along a curved boundary.  Returns
-    candidate (points, values) tuples; the POLISH_SEEDS grid points keep their
-    exact grid values."""
+    best cells, grid-local minima (<= every axis neighbour) descend, and so do
+    edge cells that are <= every edge cell among their 3^s - 1 surrounding
+    cells (all, so a curved boundary's staircase stays connected): one descent
+    per interior or boundary basin.  Returns candidate (points, values) tuples;
+    the POLISH_SEEDS grid points keep their exact grid values."""
     data = get_grid(P, grid)
     phi, dphi = weighted_phi(P, lam, mu)
     vals = (lam @ data.F) if P.n_objectives else np.zeros(data.pts.shape[1])
@@ -140,12 +141,18 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     M = np.pad(mask.reshape(shape), 1, constant_values=True)  # a box face is no edge
     near = [np.roll(M, d, a)[(slice(1, -1),) * len(shape)] for a in range(len(shape)) for d in (1, -1)]
     edge = mask & ~np.logical_and.reduce(near).ravel()  # an inadmissible axis neighbour
+    E = np.pad(np.where(edge, masked, np.inf).reshape(shape), 1, constant_values=np.inf)
+    ring = np.array(list(itertools.product((0, 1, 2), repeat=len(shape))))  # offsets into E
     minima = set(local_minima_cells(shape, masked))
+
+    def seeds(k: int) -> bool:
+        around = E[tuple((np.unravel_index(k, shape) + ring).T)]  # the cell and its 3^s - 1
+        return k in minima or edge[k] and masked[k] <= around.min()
 
     restore = (lambda y: _restore(P, y)) if feasible_only else None
     cand_pts = [data.pts[:, k].copy() for k in order]
     cand_vals = [float(masked[k]) for k in order]
-    for k in (k for k in order if k in minima or edge[k]):
+    for k in filter(seeds, order):
         x, fx = descend(phi, dphi, data.pts[:, k], P.lower, P.upper, restore=restore)
         if np.isfinite(fx):
             cand_pts.append(x)
@@ -154,22 +161,28 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
 
 
 def _restore(P: ProblemDef, y):
-    """The clipped trial point if it is strictly feasible; else y moved onto
-    the feasible set by minimum-norm Newton steps on its violated constraints
-    (unclipped, so clipping does not turn the step, and past the tolerance, so
-    iterates do not creep along it), then clipped; None if 8 steps fail."""
+    """The clipped trial point if it is strictly feasible; else y moved by
+    minimum-norm Newton steps (unclipped, so clipping does not turn the step)
+    until each constraint it violates, or a step made violated, is on its
+    boundary to rounding (g <= 0 alone let steps overshoot into a concave
+    constraint's feasible side and park there), then clipped; None if 8 steps
+    fail."""
     if feasible_at(P, np.clip(y, P.lower, P.upper), 0.0):
         return np.clip(y, P.lower, P.upper)
+    hit = np.zeros(P.n_constraints, dtype=bool)
     for _ in range(8):
         try:
             gv = np.array([evaluate(g, y) for g in P.constraints])
-            bad = np.flatnonzero(gv > 0)
-            J = np.array([grad(P.constraints[j], y) for j in bad]).reshape(-1, P.dim)
+            hit |= gv > 0
+            act = np.flatnonzero(hit)
+            if ((gv[act] <= 0) & within(-gv[act], 1e-12)).all():
+                break  # every constraint hit is on the boundary, to rounding
+            J = np.array([grad(P.constraints[j], y) for j in act]).reshape(-1, P.dim)
         except ExprError:
             return None
-        if not bad.size or not (np.isfinite(gv).all() and np.isfinite(J).all()):
+        if not (np.isfinite(gv).all() and np.isfinite(J).all()):
             break
-        y = y - np.linalg.lstsq(J, gv[bad], rcond=None)[0]
+        y = y - np.linalg.lstsq(J, gv[act], rcond=None)[0]
     y = np.clip(y, P.lower, P.upper)
     return y if feasible_at(P, y, 1e-9) else None
 

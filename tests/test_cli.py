@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vopt
+import vopt.gridsearch
 from vopt.cli import build_parser, main, run_for_report
 
 QUAD = "var x1 in [-1, 1]\nmin x1^2\n"
@@ -108,6 +109,16 @@ def test_weighting_nan_lambda_exits_2(capsys):
 def test_grid_below_two_exits_1(grid, capsys):
     assert main(["weighting", "exB.vopt", "--lambda", "1,0", "--grid", grid]) == 1
     assert "--grid: must be at least 2" in capsys.readouterr().err
+
+
+def test_oversized_grid_exits_1_before_building_it(monkeypatch, capsys):
+    # 100000^2 grid points: refused by the size check, never handed to meshgrid
+    def build(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(vopt.gridsearch, "_grid", build)
+    assert main(["weighting", "exB.vopt", "--lambda", "1,0", "--grid", "100000"]) == 1
+    _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
