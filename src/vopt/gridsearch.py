@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 FEAS_EPS = 1e-9
-MAX_GRID_POINTS = 25_000_000  # the default grid of 7 variables, 11^7, still fits
+MAX_GRID_POINTS = 25_000_000  # refused before meshgrid allocates, so a typo in --grid fails fast
 
 
 class GridTooLarge(Exception):
@@ -55,9 +55,8 @@ def grid_size(P: ProblemDef, grid: int | None = None) -> int:
 
 def get_grid(P: ProblemDef, grid: int | None = None) -> GridData:
     g = grid_size(P, grid)
-    if g**P.dim > MAX_GRID_POINTS:  # refused before anything is allocated
-        raise GridTooLarge(f"a grid of {g} points per axis over {P.dim} variables has"
-                           f" {g**P.dim} points, more than {MAX_GRID_POINTS}")
+    if g**P.dim > MAX_GRID_POINTS:
+        raise GridTooLarge(f"grid {g} over {P.dim} variables has {g**P.dim} points, over {MAX_GRID_POINTS}")
     return _grid(P, g)
 
 
@@ -103,20 +102,22 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
     """Projected gradient descent with backtracking; gradient components that
     push out of a box face are dropped.  A step must win half the decrease
     g·(x - y) predicted along the projection (not the usual 1e-4), so steps
-    near 2/L that bounce across a stiff valley are refused.  `restore`, if
-    given, replaces the clip: it maps a trial point to a feasible one in the
-    box, or to None to refuse it.  Returns (x, phi(x))."""
+    near 2/L that bounce across a stiff valley are refused; the first trial
+    is twice the last step taken, so a flat basin takes few steps.  `restore`,
+    if given, replaces the clip: it maps a trial point to a feasible one in
+    the box, or to None to refuse it.  Returns (x, phi(x))."""
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     fx = phi(x)
     if not np.isfinite(fx):
         return x, fx
+    last = 0.0
     for _ in range(steps):
         g = dphi(x)
         g = np.where(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)), 0.0, g)
         gn = float(np.linalg.norm(g))
         if not np.isfinite(gn) or gn <= 1e-14:
             break
-        t = 1.0 / max(gn, 1.0)
+        t = max(1.0 / max(gn, 1.0), 2.0 * last)
         moved = False
         while t > 1e-14:
             y = np.clip(x - t * g, lower, upper) if restore is None else restore(x - t * g)
@@ -128,7 +129,7 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
             fy, pred = phi(y), float(g @ (x - y))
             if pred > 0 and np.isfinite(fy) and fy <= fx - 0.5 * pred:
                 moved = fx - fy > 1e-15 * (1.0 + abs(fy))  # else stop: rounding-level gain
-                x, fx = y, fy
+                x, fx, last = y, fy, 2.0 * t  # t was halved after the trial
                 break
         if not moved:
             break

@@ -141,15 +141,14 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     M = np.pad(mask.reshape(shape), 1, constant_values=True)  # a box face is no edge
     near = [np.roll(M, d, a)[(slice(1, -1),) * len(shape)] for a in range(len(shape)) for d in (1, -1)]
     edge = mask & ~np.logical_and.reduce(near).ravel()  # an inadmissible axis neighbour
-    E = np.pad(np.where(edge, masked, np.inf).reshape(shape), 1, constant_values=np.inf)
-    ring = np.array(list(itertools.product((0, 1, 2), repeat=len(shape))))  # offsets into E
+    ring = np.array(list(itertools.product((-1, 0, 1), repeat=len(shape))))
     minima = set(local_minima_cells(shape, masked))
 
-    def seeds(k: int) -> bool:
-        around = E[tuple((np.unravel_index(k, shape) + ring).T)]  # the cell and its 3^s - 1
-        return k in minima or edge[k] and masked[k] <= around.min()
+    def seeds(k: int) -> bool:  # the cell and its 3^s - 1 neighbours; clipping stays among them
+        cells = np.ravel_multi_index((np.unravel_index(k, shape) + ring).T, shape, mode="clip")
+        return k in minima or edge[k] and masked[k] <= masked[cells[edge[cells]]].min()
 
-    restore = (lambda y: _restore(P, y)) if feasible_only else None
+    dphi, restore = _along_boundary(P, dphi) if feasible_only else (dphi, None)
     cand_pts = [data.pts[:, k].copy() for k in order]
     cand_vals = [float(masked[k]) for k in order]
     for k in filter(seeds, order):
@@ -160,16 +159,37 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     return tuple(cand_pts), tuple(cand_vals), data.grid
 
 
-def _restore(P: ProblemDef, y):
-    """The clipped trial point if it is strictly feasible; else y moved by
-    minimum-norm Newton steps (unclipped, so clipping does not turn the step)
-    until each constraint it violates, or a step made violated, is on its
-    boundary to rounding (g <= 0 alone let steps overshoot into a concave
-    constraint's feasible side and park there), then clipped; None if 8 steps
-    fail."""
-    if feasible_at(P, np.clip(y, P.lower, P.upper), 0.0):
+def _along_boundary(P: ProblemDef, dphi):
+    """dphi less its part that pushes out through a constraint on its boundary
+    at x, and a restore that lands steps from x back on those constraints
+    (descend takes the gradient at x first): a step through the boundary and
+    back adds the chord's sag to the predicted decrease, and refuses all but
+    short steps along a flat boundary basin."""
+    held = []
+
+    def tangent(x):
+        g = dphi(x)
+        try:
+            rows = {j: grad(c, x) for j, c in enumerate(P.constraints) if within(-evaluate(c, x), 1e-9)}
+        except ExprError:
+            rows = {}
+        held[:] = [j for j in rows if rows[j] @ g < 0]
+        J = np.array([rows[j] for j in held]).reshape(-1, P.dim)
+        return g - J.T @ np.linalg.lstsq(J.T, g, rcond=None)[0]
+
+    return tangent, lambda y: _restore(P, y, held)
+
+
+def _restore(P: ProblemDef, y, held=()):
+    """The clipped trial point if no constraint is `held` and it is strictly
+    feasible; else y moved by minimum-norm Newton steps (unclipped, so
+    clipping does not turn the step) until each constraint held, violated or
+    made violated by a step is on its boundary to rounding, not just <= 0
+    (a concave constraint's overshoot parks beside it), then clipped; None if
+    8 steps fail."""
+    if not held and feasible_at(P, np.clip(y, P.lower, P.upper), 0.0):
         return np.clip(y, P.lower, P.upper)
-    hit = np.zeros(P.n_constraints, dtype=bool)
+    hit = np.isin(np.arange(P.n_constraints), held)
     for _ in range(8):
         try:
             gv = np.array([evaluate(g, y) for g in P.constraints])

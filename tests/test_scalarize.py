@@ -387,6 +387,20 @@ def test_boundary_basin_descends_once_to_the_exact_minimiser(descents):
     assert [tuple(m.point) for m in out.minimizers] == [(1.0, 0.0)]
 
 
+def test_flat_boundary_basin_is_crossed_without_crawling(descents):
+    # outside the disk x·x >= 2 the field is least at (±√2, 0) and rises along
+    # the circle by only 0.0185·sin²θ.  A full gradient step through the disk,
+    # pulled back onto the circle, adds the chord's sag to the predicted
+    # decrease, so only short steps passed: every descent crawled to its
+    # 300-step cap and the report read 2.1691396
+    w1, l1 = 1.676466171775222, 0.125
+    P = parse_problem("var x1 in [-2, 2]\nvar x2 in [-2, 2]\n"
+                      f"min ({w1!r})*x1^2 + 1.75*x2^2\nmin x1^2 + x2^2\nst 2 - x1^2 - x2^2 <= 0\n")
+    out = solve_weighting(P, [l1, 1.0 - l1])
+    assert max(descents) < 300
+    assert out.value == pytest.approx(2.0 * (l1 * w1 + 1.0 - l1), rel=1e-12)
+
+
 def test_descend_takes_the_exact_line_minimiser_of_a_quadratic():
     # from 0.98 the halved step lands on 1 exactly, where the gain is exactly
     # half the predicted decrease: a strict test refused it, and the descent
