@@ -250,14 +250,10 @@ def _cmd_saddle(args):
     P, digest = _load(args.problem)
     x = _floats(args.point, P.dim, "--point")
     lam = _floats(args.lam, P.n_objectives, "--lambda")
-    mu = (
-        _floats(args.mu, P.n_constraints, "--mu")
-        if args.mu is not None
-        else np.zeros(P.n_constraints)
-    )
+    mu = _floats(args.mu, P.n_constraints, "--mu") if args.mu is not None else np.zeros(P.n_constraints)
     v = check_saddle(P, lam, x, mu, grid=args.grid, tol=args.tol)
     payload = {"point": x, "lam": lam, "mu": mu, **_fields(
-        v, "left_ok right_status counterexample gap grid polish_seeds is_saddle")}
+        v, "left_ok right_status counterexample gap grid is_saddle")}
     lines = [f"saddle at {_fmt_point(x)}: {'yes' if v.is_saddle else 'no'}"]
     if v.counterexample is not None:
         lines.append(f"  counterexample {_fmt_point(v.counterexample)} gap={v.gap:.6g}")

@@ -8,10 +8,10 @@ more.  All orderings are lexicographic so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .expr import ExprError, eval_grid, evaluate, grad, hessian
 from .ktcheck import first_order_kt
@@ -27,11 +27,14 @@ __all__ = [
     "weighted_phi",
     "cluster_minima",
     "local_minima_cells",
+    "lowest",
+    "nnls",
     "find_kt_points",
 ]
 
 FEAS_EPS = 1e-9
 MAX_GRID_POINTS = 25_000_000  # refused before meshgrid allocates, so a typo in --grid fails fast
+SEED_CAP = 128  # a constant field makes every cell a minimum: at most this many seeds or representatives
 
 
 class GridTooLarge(Exception):
@@ -136,7 +139,7 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
     return x, fx
 
 
-def cluster_minima(points, values, radius: float = 1e-4, window: float = 1e-6, cap: int = 128):
+def cluster_minima(points, values, radius: float = 1e-4, window: float = 1e-6, cap: int = SEED_CAP):
     """Keep candidates within `window` (scaled) of the best value, then thin
     them so representatives are pairwise > radius apart.  Better value wins a
     cluster; ties go to the lexicographically smaller point.  At most `cap`
@@ -164,13 +167,19 @@ def local_minima_cells(shape, score: np.ndarray) -> list[int]:
     S = score.reshape(shape)
     ok = np.ones(shape, dtype=bool)
     for ax in range(len(shape)):
-        lo = [slice(None)] * len(shape)
-        hi = [slice(None)] * len(shape)
-        lo[ax] = slice(1, None)
-        hi[ax] = slice(None, -1)
-        ok[tuple(lo)] &= S[tuple(lo)] <= S[tuple(hi)]
-        ok[tuple(hi)] &= S[tuple(hi)] <= S[tuple(lo)]
+        lo = tuple(slice(1, None) if a == ax else slice(None) for a in range(len(shape)))
+        hi = tuple(slice(None, -1) if a == ax else slice(None) for a in range(len(shape)))
+        ok[lo] &= S[lo] <= S[hi]
+        ok[hi] &= S[hi] <= S[lo]
     return [int(i) for i in np.flatnonzero(ok.ravel() & np.isfinite(score))]
+
+
+def lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k lowest values in order, ties by index: the first k of
+    a stable argsort, by partial selection rather than a full sort."""
+    cut = np.partition(values, k - 1)[k - 1] if k < values.size else np.inf
+    idx = np.flatnonzero(values <= cut)
+    return idx[np.argsort(values[idx], kind="stable")[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +193,7 @@ def _fd_gradients(P: ProblemDef, data: GridData, h: float = 1e-6):
     s, N = data.pts.shape
     out = np.empty((len(exprs), s, N))
     for k in range(s):
-        hp = data.pts.copy()
-        hm = data.pts.copy()
+        hp, hm = data.pts.copy(), data.pts.copy()
         hk = h * np.maximum(1.0, np.abs(data.pts[k]))
         hp[k] += hk
         hm[k] -= hk
@@ -195,17 +203,24 @@ def _fd_gradients(P: ProblemDef, data: GridData, h: float = 1e-6):
     return out
 
 
-def _kt_residual(fg: np.ndarray, gg: np.ndarray) -> float:
-    """min over lam >= 0 (sum 1), mu >= 0 of the stationarity norm, by
-    penalized nonnegative least squares."""
-    n = fg.shape[0]
-    cols = np.vstack([fg, gg]).T if gg.size else fg.T  # (s, n+k)
-    W = 1e4
-    pen = np.concatenate([np.full(n, np.sqrt(W)), np.zeros(cols.shape[1] - n)])
-    A = np.vstack([cols, pen])
-    b = np.concatenate([np.zeros(cols.shape[0]), [np.sqrt(W)]])
-    w, _ = nnls(A, b)
-    return float(np.linalg.norm(cols @ w))
+def nnls(cols: np.ndarray, n: int) -> np.ndarray:
+    """KT scores of a stack of cells that share their columns: `cols` is
+    (N, s, k), each cell's n objective gradients then its near-active
+    constraint gradients.  A score is ‖cols·w‖ at the w >= 0 that minimises
+    ‖cols·w‖² + W(Σ_{i<n} w_i - 1)², W = 1e4.  That optimum is the least-
+    squares solution on its own support, with a unique fit (Lawson & Hanson),
+    so the best nonnegative pinv solution over all supports is exact."""
+    N, s, k = cols.shape
+    A = np.concatenate([cols, np.broadcast_to(100.0 * (np.arange(k) < n), (N, 1, k))], axis=1)
+    b = 100.0 * (np.arange(s + 1) == s)  # 100 = sqrt(W)
+    best, score = np.full(N, np.inf), np.full(N, np.inf)
+    for S in itertools.chain.from_iterable(itertools.combinations(range(k), r) for r in range(1, k + 1)):
+        w = np.linalg.pinv(A[:, :, S]) @ b
+        fit = (A[:, :, S] @ w[:, :, None])[:, :, 0]
+        res = np.linalg.norm(fit - b, axis=1)
+        win = (w >= 0).all(axis=1) & (res < best)
+        best[win], score[win] = res[win], np.linalg.norm(fit[win, :s], axis=1)
+    return score
 
 
 def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
@@ -265,41 +280,31 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
 
 @memo(RESULTS)
 def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = 1e-8):
-    """Scan the box for first-order KT points: coarse-grid scoring by the
-    nonnegative least-squares stationarity residual, Gauss-Newton refinement
-    with near-active constraint snapping, then LP confirmation.  Returns
-    a lexicographically sorted tuple of points."""
+    """Scan the box for first-order KT points: `nnls` scores the coarse cells,
+    grid-local minima and the 32 best cells seed (at most SEED_CAP, best
+    first), Gauss-Newton refines with near-active constraint snapping, and
+    the LP confirms.  Returns a lexicographically sorted tuple of points."""
     data = get_grid(P, min(grid_size(P, grid), 41 if P.dim <= 2 else 21))  # coarse
     n, m = P.n_objectives, P.n_constraints
     grads = _fd_gradients(P, data)
     near = 0.15
 
-    N = data.pts.shape[1]
-    score = np.full(N, np.inf)
-    near_ok = (
-        (data.G > -near * (1.0 + np.abs(data.G)))
-        if m
-        else np.zeros((0, N), dtype=bool)
-    )
-    for idx in range(N):
-        if not data.feasible[idx]:
-            continue
-        fg = grads[:n, :, idx]
-        if not np.isfinite(fg).all():
-            continue
-        rows = [grads[n + j, :, idx] for j in range(m) if near_ok[j, idx]]
-        gg = np.array(rows) if rows else np.zeros((0, P.dim))
-        if not np.isfinite(gg).all():
-            continue
-        score[idx] = _kt_residual(fg, gg)
+    score = np.full(data.pts.shape[1], np.inf)
+    near_set = (1 << np.arange(m)) @ (data.G > -near * (1.0 + np.abs(data.G)))  # as bits
+    live = data.feasible & np.isfinite(grads[:n]).all(axis=(0, 1))
+    for bits in np.unique(near_set[live]):  # the cells of one near-active set share their columns
+        rows = list(range(n)) + [n + j for j in range(m) if bits >> j & 1]
+        cells = np.flatnonzero(live & (near_set == bits))
+        cols = grads[:, :, cells][rows]
+        fin = np.isfinite(cols).all(axis=(0, 1))
+        score[cells[fin]] = nnls(cols[:, :, fin].transpose(2, 1, 0), n)
 
     seeds = set(local_minima_cells(tuple(len(a) for a in data.axes), score))
-    finite = np.flatnonzero(np.isfinite(score))
-    best = finite[np.argsort(score[finite], kind="stable")[:32]]
-    seeds.update(int(i) for i in best)
+    seeds.update(lowest(score, 32).tolist())  # unscored (inf) cells last, and cut below
+    seeds = sorted(sorted(seeds, key=lambda i: (score[i], i))[:SEED_CAP])
 
     found: list[np.ndarray] = []
-    for idx in sorted(seeds):
+    for idx in seeds:
         if score[idx] > 0.5:
             continue
         x0 = data.pts[:, idx]

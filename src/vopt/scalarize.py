@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ExprError, evaluate, grad
-from .gridsearch import (cluster_minima, descend, get_grid, grid_size, local_minima_cells,
+from .gridsearch import (cluster_minima, descend, get_grid, grid_size, local_minima_cells, lowest,
                          weighted_phi)
 from .ktcheck import first_order_kt
 from .memo import RESULTS, memo
@@ -57,7 +57,6 @@ class SaddleVerdict:
     counterexample: np.ndarray | None
     gap: float | None  # L(x_bar, mu_bar) - L(x, mu_bar) at the counterexample
     grid: int
-    polish_seeds: int  # the POLISH_SEEDS cap, not the number of descents that ran
 
     @property
     def is_saddle(self) -> bool:
@@ -136,7 +135,7 @@ def _polished_min(P: ProblemDef, lam, mu, grid: int, feasible_only: bool):
     if not mask.any():
         raise NoFeasiblePointInBox("no admissible grid point in the box")
     masked = np.where(mask, vals, np.inf)
-    order = np.argsort(masked, kind="stable")[:POLISH_SEEDS]
+    order = lowest(masked, POLISH_SEEDS)
     shape = tuple(map(len, data.axes))
     M = np.pad(mask.reshape(shape), 1, constant_values=True)  # a box face is no edge
     near = [np.roll(M, d, a)[(slice(1, -1),) * len(shape)] for a in range(len(shape)) for d in (1, -1)]
@@ -254,7 +253,6 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
         counterexample=np.asarray(pts[k]) if found else None,
         gap=Lbar - float(vals[k]) if found else None,
         grid=g,
-        polish_seeds=POLISH_SEEDS,
     )
 
 
