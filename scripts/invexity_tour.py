@@ -4,7 +4,7 @@ For each problem: stationary scan with classification, the eight invexity
 verdicts with witnesses, the inclusion audit, and the first-order pair
 sweep.  A compact text tour of what the package computes.
 
-    python3 scripts/invexity_tour.py [--grid N] [--dirs N] [--seed N]
+    python3 scripts/invexity_tour.py [--grid N] [--seed N]
 """
 
 import argparse
@@ -25,8 +25,7 @@ def fmt(x) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", type=int, default=None)
-    ap.add_argument("--dirs", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="seed of the random pairs in the sweep")
     args = ap.parse_args()
 
     for path in sorted(FIXTURES.glob("*.vopt")):
@@ -36,12 +35,12 @@ def main() -> None:
         pts = find_kt_points(P, grid=args.grid)
         shown = pts if len(pts) <= 6 else pts[:3] + pts[-3:]
         for x in shown:
-            v = classify_point(P, x, dirs=args.dirs, seed=args.seed)
+            v = classify_point(P, x)
             print(f"   {fmt(x)}: {v.level}")
         if len(pts) > 6:
             print(f"   ... {len(pts)} stationary points total")
 
-        rep = inclusion_audit(P, grid=args.grid, dirs=args.dirs, seed=args.seed)
+        rep = inclusion_audit(P, grid=args.grid)
         for v in rep.verdicts:
             tail = ""
             if v.witness is not None:

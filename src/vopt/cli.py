@@ -173,8 +173,7 @@ def _verdict_dict(v):
         "class": v.klass,
         "status": v.status,
         "witness": _fields(v.witness, "point lam mu rival point_values rival_values gap"),
-        "resolution": _fields(
-            v.resolution, "grid stationary_points directions_per_point pair_samples"),
+        "resolution": _fields(v.resolution, "grid stationary_points pair_samples"),
     }
 
 
@@ -185,7 +184,7 @@ def _fmt_point(x) -> str:
 def _cmd_analyze(args):
     P, digest = _load(args.problem)
     x = _floats(args.point, P.dim, "--point")
-    verdict = classify_point(P, x, tol=args.tol, dirs=args.dirs, seed=args.seed)
+    verdict = classify_point(P, x, tol=args.tol)
     relation = None
     if verdict.first_order is not None:
         rel = relation_chain(
@@ -216,7 +215,7 @@ def _cmd_scan(args):
     entries = []
     lines = [f"{len(pts)} stationary point(s)"]
     for x in pts:
-        v = classify_point(P, x, tol=args.tol, dirs=args.dirs, seed=args.seed)
+        v = classify_point(P, x, tol=args.tol)
         entries.append(_classification_dict(v))
         lines.append(f"  {_fmt_point(x)}: {v.level}")
     payload = {"points": entries}
@@ -226,7 +225,7 @@ def _cmd_scan(args):
 def _cmd_classify(args):
     P, digest = _load(args.problem)
     if args.klass == "all":
-        rep = inclusion_audit(P, grid=args.grid, dirs=args.dirs, seed=args.seed, tol=args.tol)
+        rep = inclusion_audit(P, grid=args.grid, tol=args.tol)
         payload = {
             "verdicts": [_verdict_dict(v) for v in rep.verdicts],
             "violations": [list(v) for v in rep.violations],
@@ -235,7 +234,7 @@ def _cmd_classify(args):
         lines.append(f"inclusion violations: {len(rep.violations)}")
         return payload, lines, digest
     klass = CLASS_SLUGS[args.klass]
-    v = check_class(P, klass, grid=args.grid, dirs=args.dirs, seed=args.seed, tol=args.tol)
+    v = check_class(P, klass, grid=args.grid, tol=args.tol)
     payload = {"verdict": _verdict_dict(v)}
     lines = [f"{klass}: {v.status}"]
     if v.witness is not None:
@@ -395,8 +394,8 @@ def _add_common(sub, grid=True, dirs=True):
             help="grid points per axis (default: dimension-dependent, 201 for two variables)",
         )
     if dirs:
-        sub.add_argument("--dirs", type=int, default=64, help="critical-direction budget per point")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed, echoed in reports")
+        sub.add_argument("--dirs", type=int, default=64, help="accepted; no longer changes any verdict")
+    sub.add_argument("--seed", type=int, default=0, help="echoed in reports")
     sub.add_argument("--json", type=Path, default=None, help="write the JSON report here")
 
 

@@ -5,8 +5,6 @@ compiled once per arithmetic into nested closures: strict floats for
 `evaluate`, numpy rows for `eval_grid`, and a degree-two Taylor jet (value,
 first, second coefficient along a ray) for `grad`, `second_dir_deriv` and
 `hessian`, so no differencing error enters the derivatives.
-A Richardson-extrapolated limit quotient is provided separately as an
-independent cross-check of the jet.
 """
 
 from __future__ import annotations
@@ -33,14 +31,12 @@ __all__ = [
     "UnknownVariable",
     "DomainError",
     "NondifferentiablePoint",
-    "NonConvergent",
     "parse_expr",
     "to_text",
     "evaluate",
     "eval_grid",
     "grad",
     "second_dir_deriv",
-    "second_dir_deriv_limit",
     "hessian",
 ]
 
@@ -78,15 +74,6 @@ class DomainError(ExprError):
 
 class NondifferentiablePoint(ExprError):
     """Derivative requested where one does not exist (abs at zero)."""
-
-
-class NonConvergent(ExprError):
-    """The limit-quotient extrapolation failed to settle."""
-
-    def __init__(self, estimate: float, bound: float):
-        self.estimate = estimate
-        self.bound = bound
-        super().__init__(f"limit quotient did not converge (bound {bound:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -530,43 +517,3 @@ def hessian(e: Expr, x) -> np.ndarray:
             )
     return H
 
-
-def second_dir_deriv_limit(
-    e: Expr, x, d, steps: int = 20, t0: float = 0.1
-) -> tuple[float, float]:
-    """Independent estimate of the second directional derivative from its
-    defining limit  2 t^-2 (h(x+td) - h(x) - t grad h(x)·d)  at t = t0 / 2^k,
-    accelerated by a Richardson table.  Returns (estimate, error bound); the
-    bound is the change between the last two accepted diagonal entries.
-    Raises NonConvergent if the best bound exceeds 1e-4.
-    """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if not d.any():
-        return 0.0, 0.0
-    h0 = evaluate(e, x)
-    slope = float(grad(e, x) @ d)
-
-    def quotient(t: float) -> float:
-        return 2.0 / (t * t) * (evaluate(e, x + t * d) - h0 - t * slope)
-
-    row: list[float] = [quotient(t0)]
-    best = (row[0], math.inf)
-    scale = 1.0 + abs(row[0])
-    for k in range(1, steps + 1):
-        t = t0 / 2.0**k
-        nxt = [quotient(t)]
-        for j in range(1, k + 1):
-            nxt.append(nxt[j - 1] + (nxt[j - 1] - row[j - 1]) / (2.0**j - 1.0))
-        err = abs(nxt[-1] - row[-1])
-        if err < best[1]:
-            best = (nxt[-1], err)
-        row = nxt
-        if err <= 1e-14 * scale:
-            break
-    est, bound = best
-    if bound > 1e-4:
-        raise NonConvergent(est, bound)
-    return est, bound

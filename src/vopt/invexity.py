@@ -86,7 +86,6 @@ class Resolution:
 
     grid: int
     stationary_points: int
-    directions_per_point: int  # budget for the second-order classification
     pair_samples: int  # characterization probes run before the verdict
 
 
@@ -164,8 +163,8 @@ class _Scan:
     weighting solves are memoised by problem content, so the checks share
     them without keeping state here."""
 
-    def __init__(self, P: ProblemDef, grid, dirs, seed, tol):
-        self.P, self.dirs, self.seed, self.tol = P, dirs, seed, tol
+    def __init__(self, P: ProblemDef, grid, tol):
+        self.P, self.tol = P, tol
         self.data = get_grid(P, grid)
         if not self.data.feasible.any():
             raise NoFeasiblePointInBox("no feasible grid point in the box")
@@ -174,20 +173,17 @@ class _Scan:
     def candidate_points(self, second: bool):
         if not second:
             return list(self.points)
-        return [x for x in self.points if classify_point(
-            self.P, x, tol=self.tol, dirs=self.dirs, seed=self.seed).level == SECOND_ORDER_KT]
-
-    def triples(self, x, second: bool):
-        return _candidate_triples(self.P, x, self.tol, self.dirs if second else None, self.seed)
+        return [x for x in self.points
+                if classify_point(self.P, x, tol=self.tol).level == SECOND_ORDER_KT]
 
 
 @memo(RESULTS)
-def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
+def _candidate_triples(P: ProblemDef, x, tol, second: bool = False):
     """KT multiplier candidates at x, each from `LocalModel.multipliers`:
     the oracle's own (lambda, mu), then lambda pinned to the uniform weight
-    and to every vertex e_i, duplicates dropped.  With `dirs` given, pairs
-    must also have nonnegative curvature along each critical direction that
-    classify_point(P, x, tol, dirs, seed) tests."""
+    and to every vertex e_i, duplicates dropped.  With `second`, pairs must
+    also have nonnegative curvature along each critical direction that
+    classify_point(P, x, tol) tests."""
     m = LocalModel(P, x, tol)
     n, act = P.n_objectives, list(m.active.indices)
     kept: list[tuple[np.ndarray, np.ndarray]] = []
@@ -198,9 +194,9 @@ def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
             continue
         kept.append((pair.lam, pair.mu))
 
-    if dirs is None:
+    if not second:
         return tuple(kept)
-    outcomes = classify_point(P, x, tol=tol, dirs=dirs, seed=seed).per_direction
+    outcomes = classify_point(P, x, tol=tol).per_direction
 
     def bends_down(lam, mu, f2, g2) -> bool:
         cur = float(lam @ f2) + (float(mu[act] @ g2) if g2.size else 0.0)
@@ -212,7 +208,7 @@ def _candidate_triples(P: ProblemDef, x, tol, dirs=None, seed=0):
 
 def _saddle_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
     probes = 0
-    for lam, mu in scan.triples(x, second):
+    for lam, mu in _candidate_triples(scan.P, x, scan.tol, second):
         probes += 1
         v = check_saddle(scan.P, lam, x, mu, grid=scan.data.grid, tol=scan.tol)
         if v.is_saddle or v.counterexample is None:
@@ -271,7 +267,7 @@ def _domination_witness(scan: _Scan, x, strict_all: bool) -> Witness | None:
 def _weighting_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
     probes = 0
     fx = _values(scan.P.objectives, x)
-    for lam, mu in scan.triples(x, second):
+    for lam, mu in _candidate_triples(scan.P, x, scan.tol, second):
         probes += 1
         ms = solve_weighting(scan.P, lam, grid=scan.data.grid)
         mine = float(lam @ fx)
@@ -314,7 +310,6 @@ def _verdict(scan: _Scan, klass: str) -> ClassVerdict:
         resolution=Resolution(
             grid=scan.data.grid,
             stationary_points=len(scan.points),
-            directions_per_point=scan.dirs,
             pair_samples=probes,
         ),
     )
@@ -324,32 +319,28 @@ def check_class(
     P: ProblemDef,
     klass: str,
     grid: int | None = None,
-    dirs: int = 64,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> ClassVerdict:
     """Falsify-or-consist verdict for one invexity class.
 
     Stationary points come from the multistart grid scan; candidates are
     visited in sorted order, so the witness is the lexicographically first
-    falsifier found.  Deterministic given (grid, dirs, seed).
+    falsifier found.  Deterministic given (grid, tol).
     """
     if klass not in INVEXITY_CLASSES:
         raise ValueError(f"unknown invexity class {klass!r}")
-    return _verdict(_Scan(P, grid, dirs, seed, tol), klass)
+    return _verdict(_Scan(P, grid, tol), klass)
 
 
 def inclusion_audit(
     P: ProblemDef,
     grid: int | None = None,
-    dirs: int = 64,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> InclusionReport:
     """All eight class verdicts on shared scan state, plus any inclusion
     violations (a first-order class Consistent while its second-order
     superclass is Falsified)."""
-    scan = _Scan(P, grid, dirs, seed, tol)
+    scan = _Scan(P, grid, tol)
     verdicts = tuple(_verdict(scan, k) for k in INVEXITY_CLASSES)
     by = dict(zip(INVEXITY_CLASSES, verdicts))
     violations = tuple(

@@ -146,24 +146,23 @@ def classify_point(
     P: ProblemDef,
     x,
     tol: float = DEFAULT_TOL,
-    dirs: int = 64,
-    seed: int = 0,
     mode: str = MODE_PLAIN,
     normalization: str = SUM_LAMBDA_ONE,
 ) -> StationarityVerdict:
-    """First-order test, then second-order multipliers over the sampled
-    critical directions.  SecondOrderKT means every tested direction admits
-    a pair; the verdict is relative to `dirs` resolution.  The band does not
-    depend on d, so any pair accepted here (the first-order pair, then each
-    LP pair) that bends upward along d settles it (see `_reused`); the LP
-    runs only when none does, once per distinct (f2, g2)."""
+    """First-order test, then second-order multipliers along the critical
+    cone's finite candidate set (`critical_candidates`).  SecondOrderKT means
+    every candidate admits a pair: exact up to tol, within the stated limit
+    (plain mode and Σλ = 1 vertices; s <= 2 or at most two vertices).  The
+    band does not depend on d, so any pair accepted here (the first-order
+    pair, then each LP pair) that bends upward along d settles it (see
+    `_reused`); the LP runs only when none does, once per distinct (f2, g2)."""
     m = LocalModel(P, x, tol)
     fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
                                    per_direction=(), directions_tested=0)
     pool, failed, act, outcomes = [fo], set(), list(m.active.indices), []
-    for da in m.critical_directions(dirs, seed):
+    for da in m.critical_directions():
         f2, g2 = m.second(da.direction)
         obj, con = _supports(da, mode)
         key = (f2.tobytes(), g2.tobytes(), obj, con)  # f''(x; -d) = f''(x; d): one LP for both

@@ -5,8 +5,8 @@ work anywhere the expressions evaluate, global scans stay inside the box.
 Also home to the one feasibility rule (`within`), the per-point
 `LocalModel` (active set, gradient rows, tolerances and the KT-multiplier
 oracle), the activity / criticality analysis of directions built on it, and
-the sampler that supplies candidate critical directions to downstream
-certificates.
+the finite set of critical directions that decides the second-order
+condition.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, parse_expr,
-                   second_dir_deriv)
+from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, hessian,
+                   parse_expr, second_dir_deriv)
 from .linprog import LpProblem, NumericalBreakdown, solve_lp
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "active_set",
     "analyze_direction",
     "sample_critical_directions",
+    "critical_candidates",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -122,13 +123,6 @@ class MultiplierPair:
     normalization: str  # SUM_LAMBDA_ONE or FRITZ_JOHN
     residual: float  # recomputed ||Sum lam grad f + Sum mu grad g||
     curvature: float | None = None  # L''(x; d) for second-order pairs
-
-    def supported_on(self, obj_idx, con_idx, tol: float = 1e-9) -> bool:
-        """True when every strictly positive multiplier lies in the given
-        index sets (the complementarity-along-d condition)."""
-        ok_l = all(i in set(obj_idx) for i in range(len(self.lam)) if self.lam[i] > tol)
-        ok_m = all(j in set(con_idx) for j in range(len(self.mu)) if self.mu[j] > tol)
-        return ok_l and ok_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,51 +387,103 @@ class LocalModel:
             raise MissingSecondDerivative(str(e)) from e
         return f2, g2
 
-    def critical_directions(self, count: int = 64, seed: int = 0) -> list[DirectionAnalysis]:
-        """Critical subset of: `count` low-discrepancy unit directions, the
-        +/- coordinate axes, candidate cone-edge rays, and the zero direction,
-        each kept once.  Deterministic for a given seed."""
-        s = self.P.dim
-        candidates: list[np.ndarray] = list(_uniform_directions(s, count, seed))
-        eye = np.eye(s)
-        for i in range(s):
-            candidates.append(eye[i].copy())
-            candidates.append(-eye[i])
-        candidates.extend(self._cone_edge_rays())
-        candidates.append(np.zeros(s))
+    def critical_directions(self) -> list[DirectionAnalysis]:
+        """The critical members of `critical_candidates` on the rows outside
+        their tolerance and the vertex Hessians (d = 0 always passes and is left out)."""
+        rows = np.vstack([self.Gf, self.Gg])
+        keep = np.linalg.norm(rows, axis=1) > np.concatenate([self.f_tols, self.g_tols])
+        units = critical_candidates(rows[keep], self._vertex_hessians(rows))
+        return self.directions(units[self._critical(self.Gf @ units.T, self.Gg @ units.T)])
 
-        units = np.empty((len(candidates), s))
-        kept = 0
-        for d in candidates:
-            norm = float(np.linalg.norm(d))
-            unit = d / norm if norm > 0 else d
-            if kept and np.linalg.norm(units[:kept] - unit, axis=1).min() <= 1e-9:
-                continue
-            units[kept] = unit
-            kept += 1
-        units = units[:kept]
-        units = units[self._critical(self.Gf @ units.T, self.Gg @ units.T)]  # analyse these only
-        return [da for da in self.directions(units) if da.is_critical]
+    def _vertex_hessians(self, rows) -> list[np.ndarray]:
+        """Each distinct Σλ_i∇²f_i + Σμ_j∇²g_j over the multiplier vertices: the
+        supports S of the oracle's scaled columns R, holding an objective, where
+        [1 on λ; R_S]·w = e₁ has full column rank and a solution w >= 0 in band."""
+        P, n = self.P, self.P.n_objectives
+        exprs = [*P.objectives, *(P.constraints[j] for j in self.active.indices)]
+        H = np.array([hessian(e, self.point) for e in exprs])  # grad would have met any kink first
+        scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+        R = rows.T / scale
+        out = []
+        for S in (list(S) for S in _subsets(len(exprs)) if S and S[0] < n):
+            w, _, rank, _ = np.linalg.lstsq(np.vstack([np.less(S, n), R[:, S]]),
+                                            np.eye(len(R) + 1)[0], rcond=None)
+            band = self.tol * (1.0 + np.linalg.norm(R[:, S], axis=0) @ w)
+            if rank == len(S) and w.min() >= 0.0 and np.abs(R[:, S] @ w).max() <= band:
+                Hv = np.tensordot(w / scale[S], H[S], axes=1)
+                if not any(np.abs(Hv - h).max() <= 1e-9 * np.abs(Hv).max() for h in out):
+                    out.append(Hv)
+        return out
 
-    def _cone_edge_rays(self) -> list[np.ndarray]:
-        """Null directions of (s-1)-subsets of the gradient rows: candidates for
-        extreme rays of the polyhedral critical cone.  Without these, a cone of
-        measure zero (a line, say) is invisible to any uniform sample."""
-        s = self.P.dim
-        rows = [r for r in (*self.Gf, *self.Gg) if np.linalg.norm(r) > 1e-12]
-        rays: list[np.ndarray] = []
-        if s < 2 or not rows:
-            return rays
-        take = min(s - 1, len(rows))
-        combos = itertools.combinations(range(len(rows)), take)
-        for picked in itertools.islice(combos, 200):
-            M = np.array([rows[i] for i in picked])
-            _, sv, vt = np.linalg.svd(M)
-            null = vt[np.sum(sv > 1e-9 * max(1.0, sv[0])) :]
-            for vec in null[:2]:
-                rays.append(vec)
-                rays.append(-vec)
-        return rays
+
+def critical_candidates(rows, hessians) -> np.ndarray:
+    """Unit directions, each kept once, that reach the least of max_v dᵀH_v d
+    over the cone {d : r·d <= 0 for every row r}: it sits at a critical point
+    on null(R_E) for the rows E active there (Hiriart-Urruty & Seeger, SIAM
+    Rev. 52, 2010).  So for every subset E of the nonzero rows, Q a basis of
+    null(R_E): ±Q on a line, else ±Q·u for each eigenvector u of QᵀH_vQ and
+    the `_crossings` of each pair of Hessians; the caller keeps those in the
+    cone.  Exact for s <= 2 or two Hessians; three at s >= 3 can miss."""
+    s = rows.shape[1]
+    units = np.array([r / np.linalg.norm(r) for r in rows if r.any()]).reshape(-1, s)
+    found: list[np.ndarray] = []
+    for E in map(list, _subsets(len(units))):
+        Q = np.eye(s)
+        if E:
+            _, sv, vt = np.linalg.svd(units[E])
+            Q = vt[int((sv > 1e-9).sum()):].T
+        if Q.shape[1] <= 1:  # a line, or nothing
+            found.extend(Q.T)
+            continue
+        restricted = [Q.T @ H @ Q for H in hessians]
+        for M in restricted:
+            found.extend((Q @ np.linalg.eigh(M)[1]).T)
+        for A, B in itertools.combinations(restricted, 2):
+            found.extend(Q @ u for u in _crossings(A, B))
+    D = np.array([d / np.linalg.norm(d) for d in found if d.any()]).reshape(-1, s)
+    U = np.stack([D, -D], axis=1).reshape(-1, s)
+    near = np.linalg.norm(U[:, None] - U[None], axis=2) <= 1e-9
+    return U[~np.tril(near, -1).any(axis=1)]
+
+
+def _subsets(k: int):
+    return itertools.chain.from_iterable(itertools.combinations(range(k), r) for r in range(k + 1))
+
+
+def _crossings(A, B) -> list[np.ndarray]:
+    """Where max(uᵀAu, uᵀBu) can bottom out on the sphere with both forms
+    active: on a plane the zeros of uᵀ(A-B)u; beyond, the eigenvectors of tA +
+    (1-t)B whose eigenvalue is stationary in t on [0, 1] (Yuan, Math. Program.
+    47, 1990), and on a multiple one the zeros on the plane of A-B's extremes."""
+    if len(A) == 2:
+        (lo, hi), V = np.linalg.eigh(A - B)
+        if lo > 0.0 or hi < 0.0:
+            return []
+        a, b = np.sqrt(hi) * V[:, 0], np.sqrt(-lo) * V[:, 1]
+        return [a + b, a - b]
+
+    def slopes(t):  # dλ_i/dt = u_iᵀ(A - B)u_i, eigenvalues ascending
+        U = np.linalg.eigh(t * A + (1.0 - t) * B)[1]
+        return np.einsum("ji,jk,ki->i", U, A - B, U)
+
+    ts = np.linspace(0.0, 1.0, 65)
+    g = np.array([slopes(t) for t in ts])
+    points = [(0.0, 0), (1.0, 0)]
+    for k, i in zip(*np.nonzero(g[:-1] * g[1:] <= 0.0)):  # bisect each sign change
+        lo, hi = ts[k], ts[k + 1]
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slopes(mid)[i] * g[k, i] > 0.0 else (lo, mid)
+        points.append((lo, i))
+    found = []
+    for t, i in points:
+        vals, U = np.linalg.eigh(t * A + (1.0 - t) * B)
+        V = U[:, np.abs(vals - vals[i]) <= 1e-6 * (1.0 + np.abs(vals).max())]
+        if V.shape[1] > 1:
+            V = V @ np.linalg.eigh(V.T @ (A - B) @ V)[1][:, [0, -1]]
+            found.extend(V @ u for u in _crossings(V.T @ A @ V, V.T @ B @ V))
+        found.extend(V.T)
+    return found
 
 
 def analyze_direction(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> DirectionAnalysis:
@@ -445,49 +491,6 @@ def analyze_direction(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> Directio
     return LocalModel(P, x, tol).directions([d])[0]
 
 
-def sample_critical_directions(
-    P: ProblemDef, x, count: int = 64, seed: int = 0, tol: float = DEFAULT_TOL
-) -> list[DirectionAnalysis]:
-    """The critical directions sampled at x (see LocalModel.critical_directions)."""
-    return LocalModel(P, x, tol).critical_directions(count, seed)
-
-
-# ---------------------------------------------------------------------------
-# direction sampling
-
-_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
-def _radical_inverse(k: int, base: int) -> float:
-    inv, denom = 0.0, 1.0
-    while k:
-        k, rem = divmod(k, base)
-        denom *= base
-        inv += rem / denom
-    return inv
-
-
-def _uniform_directions(s: int, count: int, seed: int):
-    if s == 1:
-        for k in range(count):
-            yield np.array([1.0 if k % 2 == 0 else -1.0])
-        return
-    if s == 2:
-        theta0 = (seed % 997) * (2.0 * np.pi / 997.0)
-        for k in range(count):
-            t = theta0 + k * _GOLDEN_ANGLE
-            yield np.array([np.cos(t), np.sin(t)])
-        return
-    bases = _PRIMES[:s]
-    k = 1 + (seed % 101) * 7
-    produced = 0
-    while produced < count:
-        u = np.array([_radical_inverse(k, b) for b in bases])
-        k += 1
-        v = 2.0 * u - 1.0
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-6:
-            continue
-        yield v / norm
-        produced += 1
+def sample_critical_directions(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> list[DirectionAnalysis]:
+    """The critical directions tested at x (see LocalModel.critical_directions)."""
+    return LocalModel(P, x, tol).critical_directions()

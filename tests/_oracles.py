@@ -1,10 +1,17 @@
-"""Shared oracle helpers: direct LP encodings of the two alternative systems,
-solved by HiGHS (`scipy.optimize.linprog`) rather than vopt's own simplex, so
-they confirm decide_alternative verdicts independently of the code under
-test."""
+"""Shared oracle helpers, each independent of the code it checks:
+- direct LP encodings of the two alternative systems, solved by HiGHS
+  (`scipy.optimize.linprog`) rather than vopt's own simplex, so they confirm
+  decide_alternative verdicts;
+- a Richardson-extrapolated limit quotient for the second directional
+  derivative, a cross-check of the jet;
+- the support test of a multiplier pair."""
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from vopt.expr import ExprError, evaluate, grad
 
 MARGIN = 1e-9  # a strict solution must clear this, as decide_alternative asks
 
@@ -75,3 +82,59 @@ def random_instance(rng, max_dim=6):
     C = rng.uniform(-3, 3, size=(p, q)) if p else None
     D = rng.uniform(-3, 3, size=(p, r)) if (p and r) else None
     return A, B, C, D
+
+
+class NonConvergent(ExprError):
+    """The limit-quotient extrapolation failed to settle."""
+
+    def __init__(self, estimate: float, bound: float):
+        self.estimate = estimate
+        self.bound = bound
+        super().__init__(f"limit quotient did not converge (bound {bound:.3e})")
+
+
+def second_dir_deriv_limit(e, x, d, steps: int = 20, t0: float = 0.1) -> tuple[float, float]:
+    """Independent estimate of the second directional derivative from its
+    defining limit  2 t^-2 (h(x+td) - h(x) - t grad h(x)·d)  at t = t0 / 2^k,
+    accelerated by a Richardson table.  Returns (estimate, error bound); the
+    bound is the change between the last two accepted diagonal entries.
+    Raises NonConvergent if the best bound exceeds 1e-4.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if not d.any():
+        return 0.0, 0.0
+    h0 = evaluate(e, x)
+    slope = float(grad(e, x) @ d)
+
+    def quotient(t: float) -> float:
+        return 2.0 / (t * t) * (evaluate(e, x + t * d) - h0 - t * slope)
+
+    row: list[float] = [quotient(t0)]
+    best = (row[0], math.inf)
+    scale = 1.0 + abs(row[0])
+    for k in range(1, steps + 1):
+        t = t0 / 2.0**k
+        nxt = [quotient(t)]
+        for j in range(1, k + 1):
+            nxt.append(nxt[j - 1] + (nxt[j - 1] - row[j - 1]) / (2.0**j - 1.0))
+        err = abs(nxt[-1] - row[-1])
+        if err < best[1]:
+            best = (nxt[-1], err)
+        row = nxt
+        if err <= 1e-14 * scale:
+            break
+    est, bound = best
+    if bound > 1e-4:
+        raise NonConvergent(est, bound)
+    return est, bound
+
+
+def supported_on(pair, obj_idx, con_idx, tol: float = 1e-9) -> bool:
+    """True when every strictly positive multiplier of `pair` lies in the
+    given index sets (the complementarity-along-d condition)."""
+    ok_l = all(i in set(obj_idx) for i in range(len(pair.lam)) if pair.lam[i] > tol)
+    ok_m = all(j in set(con_idx) for j in range(len(pair.mu)) if pair.mu[j] > tol)
+    return ok_l and ok_m

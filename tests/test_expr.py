@@ -22,9 +22,10 @@ from vopt.expr import (
     hessian,
     parse_expr,
     second_dir_deriv,
-    second_dir_deriv_limit,
     to_text,
 )
+
+from _oracles import second_dir_deriv_limit
 
 V2 = ("x1", "x2")
 

@@ -239,8 +239,8 @@ def test_unknown_class_rejected(exA):
 
 
 def test_check_class_deterministic(exA):
-    a = check_class(exA, KTSP_INVEX, seed=3)
-    b = check_class(exA, KTSP_INVEX, seed=3)
+    a = check_class(exA, KTSP_INVEX)
+    b = check_class(exA, KTSP_INVEX)
     assert a.status == b.status
     assert np.array_equal(a.witness.point, b.witness.point)
     assert np.array_equal(a.witness.rival, b.witness.rival)

@@ -12,6 +12,7 @@ import vopt.memo
 import vopt.problem
 from pathlib import Path
 
+from _oracles import supported_on
 from conftest import PAPER_PASS
 from vopt.cli import main
 from vopt.gridsearch import find_kt_points
@@ -118,7 +119,7 @@ def test_second_order_some_on_disk_boundary(exA):
     assert pair is not None
     assert pair.curvature is not None and pair.curvature >= -1e-9
     assert pair.residual <= 1e-7
-    assert pair.supported_on((0, 1), (0,))
+    assert supported_on(pair, (0, 1), (0,))
 
 
 def test_second_order_none_on_segment(exC):
@@ -154,16 +155,16 @@ def test_second_order_support_mode_agrees_on_fixtures(exA, exC):
 
 
 def test_classify_origin_first_order_only(exA):
-    v = classify_point(exA, [0.0, 0.0], dirs=64, seed=0)
+    v = classify_point(exA, [0.0, 0.0])
     assert v.level == FIRST_ORDER_ONLY
     assert v.first_order is not None
-    assert v.directions_tested >= 64
+    assert v.directions_tested > 0
     assert any(o.multipliers is None for o in v.per_direction)
 
 
 def test_classify_boundary_second_order(exA):
     for x in ([1.0, 0.0], [-1.0, 0.0]):
-        v = classify_point(exA, x, dirs=64, seed=0)
+        v = classify_point(exA, x)
         assert v.level == SECOND_ORDER_KT
         assert all(o.multipliers is not None for o in v.per_direction)
         assert v.directions_tested > 0
@@ -199,8 +200,9 @@ def test_classify_point_takes_each_gradient_once(exC, monkeypatch):
 
 
 def test_classify_deterministic(exA):
-    a = classify_point(exA, [0.0, 0.0], dirs=32, seed=3)
-    b = classify_point(exA, [0.0, 0.0], dirs=32, seed=3)
+    a = classify_point(exA, [0.0, 0.0])
+    vopt.memo.clear()  # recompute, so the second verdict is not the memoised first
+    b = classify_point(exA, [0.0, 0.0])
     assert a.level == b.level
     assert a.directions_tested == b.directions_tested
     for oa, ob in zip(a.per_direction, b.per_direction):
@@ -249,9 +251,9 @@ def test_duality_consistency_across_fixture_pairs(exA, exB, exC):
         (exB, [1.0, 0.0]),
         (exC, [1.0, -1.0]),
     ]:
-        for da in sample_critical_directions(P, x, count=16, seed=1):
-            cases.append((P, x, da))
-    assert len(cases) > 20
+        found = sample_critical_directions(P, x)
+        assert found, x
+        cases.extend((P, x, da) for da in found)
     for P, x, da in cases:
         v = primal_necessary(P, x, da)
         if v.status == "EmptyIndexSets":
@@ -275,9 +277,9 @@ def test_classification_invariant_under_objective_scaling(c):
         "st  x1^2 + x2^2 - 1 <= 0\n"
     )
     P = parse_problem(text)
-    assert classify_point(P, [0.0, 0.0], dirs=8, seed=0).level == FIRST_ORDER_ONLY
-    assert classify_point(P, [1.0, 0.0], dirs=8, seed=0).level == SECOND_ORDER_KT
-    assert classify_point(P, [0.5, 0.0], dirs=8, seed=0).level == NOT_STATIONARY
+    assert classify_point(P, [0.0, 0.0]).level == FIRST_ORDER_ONLY
+    assert classify_point(P, [1.0, 0.0]).level == SECOND_ORDER_KT
+    assert classify_point(P, [0.5, 0.0]).level == NOT_STATIONARY
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def _certificates_hold(P, x, closed, tol=1e-8):
     fs, gs = closed(*x)
     Gf, Gg = (np.array([r[1] for r in rows], dtype=float).reshape(-1, 2) for rows in (fs, gs))
     for mode in ("plain", MODE_SUPPORT):
-        v = classify_point(P, x, tol=tol, dirs=16, mode=mode)
+        v = classify_point(P, x, tol=tol, mode=mode)
         for o in v.per_direction:
             pair, d = o.multipliers, o.analysis.direction
             assert (pair is None) == (second_order_multipliers(P, x, o.analysis, tol, mode) is None)
@@ -385,7 +387,7 @@ def _certificates_hold(P, x, closed, tol=1e-8):
             for j, (gj, _, _) in enumerate(gs):
                 assert mu[j] == 0.0 or abs(gj) <= 2 * tol * (1 + abs(gj))
             if mode == MODE_SUPPORT:
-                assert pair.supported_on(o.analysis.zero_objectives, o.analysis.zero_constraints, 0.0)
+                assert supported_on(pair, o.analysis.zero_objectives, o.analysis.zero_constraints, 0.0)
             curvature = sum(w * d @ np.array(h, dtype=float) @ d
                             for w, (_, _, h) in zip((*lam, *mu), (*fs, *gs)))
             assert curvature >= -tol and pair.curvature == pytest.approx(curvature, abs=1e-9)

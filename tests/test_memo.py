@@ -15,7 +15,8 @@ import vopt.problem
 from vopt.cli import main
 from vopt.gridsearch import _grid, find_kt_points, get_grid
 from vopt.invexity import _candidate_triples
-from vopt.ktcheck import classify_point
+from vopt.ktcheck import (FRITZ_JOHN, MODE_PLAIN, MODE_SUPPORT, SUM_LAMBDA_ONE,
+                          classify_point)
 from vopt.problem import load_problem, parse_problem
 from vopt.scalarize import _polished_min, check_saddle, solve_unconstrained, solve_weighting
 
@@ -34,7 +35,7 @@ def test_files_that_differ_only_in_comments_share_entries(tmp_path):
     assert P.source != Q.source
     assert get_grid(P, 5) is get_grid(Q, 5)
     assert find_kt_points(P, grid=5) is find_kt_points(Q, grid=5)
-    assert classify_point(P, [0.5, 0.0], dirs=8) is classify_point(Q, [0.5, 0.0], dirs=8)
+    assert classify_point(P, [0.5, 0.0]) is classify_point(Q, [0.5, 0.0])
     assert solve_weighting(P, [0.5, 0.5], grid=5).value == solve_weighting(Q, [0.5, 0.5], 5).value
     assert [len(fn.store) for fn in MEMOISED] == [1, 1, 1, 1, 0]
 
@@ -47,14 +48,14 @@ def test_default_grid_and_its_size_are_one_entry():
 
 @pytest.mark.parametrize("change", [
     dict(tol=1e-9),
-    dict(dirs=9),
-    dict(seed=1),
+    dict(mode=MODE_SUPPORT),
+    dict(normalization=FRITZ_JOHN),
     dict(x=np.array([np.nextafter(0.5, 1.0), 0.0])),
     dict(x=np.array([0.5, -0.0])),
 ])
 def test_any_change_of_an_argument_is_a_miss(change):
     P = parse_problem(PAIR)
-    base = dict(x=np.array([0.5, 0.0]), tol=1e-8, dirs=8, seed=0)
+    base = dict(x=np.array([0.5, 0.0]), tol=1e-8, mode=MODE_PLAIN, normalization=SUM_LAMBDA_ONE)
     first = classify_point(P, **base)
     again = classify_point(P, **{**base, **change})
     assert again is not first
@@ -72,15 +73,15 @@ def test_kt_scan_misses_on_grid_and_tolerance(change):
 def test_shared_arrays_are_read_only_and_keep_their_values():
     P = parse_problem(PAIR)
     data, pts = get_grid(P, 5), find_kt_points(P, grid=5)
-    verdict = classify_point(P, [0.5, 0.0], dirs=8)
+    verdict = classify_point(P, [0.5, 0.0])
     cand_pts, _, _ = _polished_min(P, np.array([0.5, 0.5]), None, 5, True)
     kept = [a.copy() for a in (data.pts, pts[0], verdict.point, verdict.first_order.lam)]
     for a in (data.pts, pts[0], verdict.point, verdict.first_order.lam, cand_pts[0]):
         with pytest.raises(ValueError):
             a[0] = 7.0
     again = (get_grid(P, 5).pts, find_kt_points(P, grid=5)[0],
-             classify_point(P, [0.5, 0.0], dirs=8).point,
-             classify_point(P, [0.5, 0.0], dirs=8).first_order.lam)
+             classify_point(P, [0.5, 0.0]).point,
+             classify_point(P, [0.5, 0.0]).first_order.lam)
     for a, b in zip(kept, again):
         np.testing.assert_array_equal(a, b)
     assert not any(np.shares_memory(p, data.pts) for p in cand_pts)  # copies, not grid views
@@ -98,7 +99,7 @@ def test_one_field_is_one_polish_entry():
 
 def test_a_callers_point_stays_writable():
     x = np.array([0.5, 0.0])
-    classify_point(parse_problem(PAIR), x, dirs=8)
+    classify_point(parse_problem(PAIR), x)
     x[0] = 0.25
 
 
@@ -132,7 +133,7 @@ def test_stores_stay_within_their_bounds_over_many_problems():
         made.append(P)
         get_grid(P, 3)
         find_kt_points(P, grid=3)
-        classify_point(P, [0.0], dirs=4)
+        classify_point(P, [0.0])
         assert all(len(fn.store) <= fn.size for fn in MEMOISED)
 
     visit()

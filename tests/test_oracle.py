@@ -101,7 +101,7 @@ def _scan(name):
 
 
 def _level(P, x):
-    return classify_point(P, x, dirs=16).level
+    return classify_point(P, x).level
 
 
 @given(data=st.data(), name=st.sampled_from(FIXTURES), k=st.integers(-6, 6))

@@ -146,22 +146,21 @@ def test_sampling_on_disk_boundary():
     # At (1,0) both objective gradients vanish and grad g = (2,0), so the
     # critical cone is the half-space d1 <= 0 together with (0,+-1).
     P = parse_problem(DISK)
-    out = sample_critical_directions(P, [1.0, 0.0], count=64, seed=0)
+    out = sample_critical_directions(P, [1.0, 0.0])
     dirs = [da.direction for da in out]
     assert any(np.allclose(d, [0, 1], atol=1e-9) for d in dirs)
     assert any(np.allclose(d, [0, -1], atol=1e-9) for d in dirs)
     assert not any(np.allclose(d, [1, 0], atol=1e-9) for d in dirs)
     for d in dirs:
         assert 2.0 * d[0] <= 3e-8  # grad-scaled activity tolerance
-    assert len(out) >= 30  # half of the uniform sample survives
 
 
 def test_sampling_hits_measure_zero_cone():
     # exC at (1,-1): critical cone is exactly the line d1 = d2; uniform
-    # sampling alone cannot land on it, the edge-ray construction must.
+    # sampling cannot land on it, the null space of the gradient rows does.
     P = load_problem(FIX / "exC.vopt")
-    out = sample_critical_directions(P, [1.0, -1.0], count=64, seed=0)
-    assert out, "edge rays must surface the critical line"
+    out = sample_critical_directions(P, [1.0, -1.0])
+    assert out, "the face candidates must surface the critical line"
     ray = np.array([1.0, 1.0]) / np.sqrt(2.0)
     for da in out:
         d = da.direction
@@ -174,15 +173,15 @@ def test_sampling_hits_measure_zero_cone():
 
 def test_sampling_keeps_each_direction_once():
     # With every gradient zero at the origin every direction is critical.  In
-    # one variable the uniform sample alternates +1, -1 and the axes repeat
-    # them; in the plane seed 0 starts the golden-angle sample on the e1 axis.
+    # one variable the whole line is the one face, +1 and -1; in the plane
+    # the eigenvectors of the two vertex Hessians repeat the axes.  The zero
+    # direction always passes, so it is not tested.
     P1 = parse_problem("var x1 in [-1, 1]\nmin x1^2\nmin x1^4\n")
-    dirs = [float(da.direction[0]) for da in sample_critical_directions(P1, [0.0], count=64)]
-    assert sorted(dirs) == [-1.0, 0.0, 1.0]
+    dirs = [float(da.direction[0]) for da in sample_critical_directions(P1, [0.0])]
+    assert sorted(dirs) == [-1.0, 1.0]
     P2 = parse_problem("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin x1^2 + x2^2\nmin x1^4\n")
-    out = sample_critical_directions(P2, [0.0, 0.0], count=16, seed=0)
+    out = sample_critical_directions(P2, [0.0, 0.0])
     dirs = np.array([da.direction for da in out])
-    assert len(dirs) == 16 + 4 - 1 + 1  # uniform, axes less the repeated e1, zero
     gaps = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
     assert (gaps[~np.eye(len(dirs), dtype=bool)] > 1e-9).all()
 
@@ -224,10 +223,10 @@ def test_batched_directions_match_per_row_products():
     assert on_boundary == 10
 
 
-def test_sampling_deterministic_per_seed():
+def test_sampling_deterministic():
     P = parse_problem(DISK)
-    a = sample_critical_directions(P, [1.0, 0.0], count=32, seed=7)
-    b = sample_critical_directions(P, [1.0, 0.0], count=32, seed=7)
+    a = sample_critical_directions(P, [1.0, 0.0])
+    b = sample_critical_directions(P, [1.0, 0.0])
     assert len(a) == len(b)
     for da, db in zip(a, b):
         np.testing.assert_array_equal(da.direction, db.direction)
