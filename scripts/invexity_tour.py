@@ -46,8 +46,8 @@ def main() -> None:
             if v.witness is not None:
                 tail = f"  [witness {fmt(v.witness.point)} vs {fmt(v.witness.rival)}]"
             print(f"   {v.klass:34s} {v.status}{tail}")
-        if rep.violations:
-            print(f"   inclusion violations: {rep.violations}")
+        listed = f" {list(rep.violations)}" if rep.violations else ""
+        print(f"   inclusion audit: {len(rep.violations)} violation(s){listed}")
 
         sv = pointwise_survey(P, grid=args.grid, seed=args.seed)
         print(f"   pair sweep: {sv.pairs_tested} pairs, {len(sv.refuted)} refuted")

@@ -283,7 +283,8 @@ def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = 1e-8):
     """Scan the box for first-order KT points: `nnls` scores the coarse cells,
     grid-local minima and the 32 best cells seed (at most SEED_CAP, best
     first), Gauss-Newton refines with near-active constraint snapping, and
-    the LP confirms.  Returns a lexicographically sorted tuple of points."""
+    the multiplier oracle (`first_order_kt`) confirms.  Returns a
+    lexicographically sorted tuple of points."""
     data = get_grid(P, min(grid_size(P, grid), 41 if P.dim <= 2 else 21))  # coarse
     n, m = P.n_objectives, P.n_constraints
     grads = _fd_gradients(P, data)

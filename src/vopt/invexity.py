@@ -179,20 +179,19 @@ class _Scan:
 
 @memo(RESULTS)
 def _candidate_triples(P: ProblemDef, x, tol, second: bool = False):
-    """KT multiplier candidates at x, each from `LocalModel.multipliers`:
-    the oracle's own (lambda, mu), then lambda pinned to the uniform weight
-    and to every vertex e_i, duplicates dropped.  With `second`, pairs must
-    also have nonnegative curvature along each critical direction that
-    classify_point(P, x, tol) tests."""
+    """KT multiplier candidates at x: the vertices (lambda, mu) of the
+    multiplier set under Sum lambda = 1 (`LocalModel.vertices`).  The class
+    defects are linear in (lambda, mu) for a fixed rival, so the vertices
+    settle the whole set.  With `second`, pairs must also have nonnegative
+    curvature along each critical direction that classify_point(P, x, tol)
+    tests."""
     m = LocalModel(P, x, tol)
     n, act = P.n_objectives, list(m.active.indices)
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for pin in (None, np.full(n, 1.0 / n), *np.eye(n)):
-        pair = m.multipliers(lam=pin)
-        if pair is None or any(np.abs(pair.lam - l2).max() <= 1e-9 and (
-                pair.mu.size == 0 or np.abs(pair.mu - m2).max() <= 1e-9) for l2, m2 in kept):
-            continue
-        kept.append((pair.lam, pair.mu))
+    kept = []
+    for v in m.vertices()[0]:
+        mu = np.zeros(P.n_constraints)
+        mu[act] = v[n:]
+        kept.append((v[:n], mu))
 
     if not second:
         return tuple(kept)
@@ -366,8 +365,11 @@ def pointwise_eta_feasibility(
     grad g_j(x).eta + omega g_j''(x; d) <= g_j(y) on the active set at x;
     system 2 for strict descent in every objective with no active
     constraint increasing.  The first solvable system wins; when both are refuted the
-    multiplier certificate against system 2 is attached.  x must be
-    feasible, and d critical at x for the second order.
+    multiplier certificate against system 2 is attached.  At first order
+    that certificate is the oracle's KT pair (lambda, mu on the active set)
+    whenever one exists, so system 2 is refuted on the same band that
+    accepts KT points.  x must be feasible, and d critical at x for the
+    second order.
     """
     y = np.asarray(y, dtype=float)
     m = LocalModel(P, x, tol)
@@ -399,6 +401,11 @@ def pointwise_eta_feasibility(
             omega = 0.0
         return EtaFeasibility(system=1, eta=eta, omega=omega, certificate=None)
 
+    if order == ORDER_FIRST:  # a KT pair on the oracle's band refutes system 2
+        pair = m.multipliers()
+        if pair is not None:
+            return EtaFeasibility(system=None, eta=None, omega=None,
+                                  certificate=MultiplierWitness(y=pair.lam, z=pair.mu[act]))
     seconds = (f2[None, :], g2[None, :]) if order == ORDER_SECOND else (None, None)
     res = decide_alternative(fg.T, gg.T, *seconds)
     if isinstance(res, StrictWitness):

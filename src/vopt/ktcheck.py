@@ -4,13 +4,15 @@ multiplier oracle `LocalModel.multipliers`.
 Stationarity Sum λ_i ∇f_i + Sum μ_j ∇g_j = 0 is relaxed to the oracle's band
 on row-scaled gradients, so polished floating-point stationary points are not
 rejected on roundoff; returned pairs always carry the honestly recomputed
-residual.  The curvature row L''(x; d) >= 0 is exact, so returned pairs
-satisfy it up to solver feasibility tolerance.
+residual.  Every pair is a vertex of the multiplier set, read off the extreme
+rays of the multiplier cone (`LocalModel.rays`); along a critical direction
+it is the vertex with the largest L''(x; d), lifted along a recession ray when
+that is negative, so no LP is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +65,8 @@ class NotCritical(Exception):
 @dataclass(frozen=True, eq=False)
 class DirectionOutcome:
     """A tested critical direction d: its analysis, f''(x; d) of every objective
-    (f2) and active constraint (g2), and *a* pair with L''(x; d) >= 0 on the
-    band (not necessarily the LP's max-curvature pair), or None if none is."""
+    (f2) and active constraint (g2), and the oracle's pair with L''(x; d) >= 0
+    on the band, or None if none is."""
 
     analysis: DirectionAnalysis
     f2: np.ndarray
@@ -111,8 +113,8 @@ def second_order_multipliers(
     normalization: str = SUM_LAMBDA_ONE,
 ) -> MultiplierPair | None:
     """Multipliers certifying the second-order condition along one critical
-    direction: stationarity rows, curvature row L''(x; d) >= 0, and the
-    chosen normalization.  `d` may be a vector or a ready DirectionAnalysis."""
+    direction: a pair on the band with L''(x; d) >= 0 under the chosen
+    normalization (see `LocalModel.multipliers`).  `d` may be a vector or a ready DirectionAnalysis."""
     da, f2, g2 = _critical_seconds(P, x, d, tol)
     return da.model.multipliers(f2, g2, *_supports(da, mode), normalization=normalization)
 
@@ -125,20 +127,8 @@ def _critical_seconds(P: ProblemDef, x, d, tol: float):
     return (da, *da.model.second(da.direction))
 
 
-def _supports(da: DirectionAnalysis, mode: str):  # the LP's columns: all, or I(x,d), J(x,d)
+def _supports(da: DirectionAnalysis, mode: str):  # the oracle's columns: all, or I(x,d), J(x,d)
     return (da.zero_objectives, da.zero_constraints) if mode == MODE_SUPPORT else (None, None)
-
-
-def _reused(pool, f2, g2, act, obj, con) -> MultiplierPair | None:
-    """The first pair of `pool` that vanishes off the supports `obj`, `con`
-    (when given) and has λ·f2 + μ·g2 >= 0 exactly, with that curvature."""
-    for pair in pool:
-        if obj is not None and (np.delete(pair.lam, obj).any() or np.delete(pair.mu, con).any()):
-            continue
-        curvature = float(pair.lam @ f2 + pair.mu[act] @ g2)
-        if curvature >= 0.0:
-            return replace(pair, curvature=curvature)
-    return None
 
 
 @memo(RESULTS)
@@ -149,30 +139,20 @@ def classify_point(
     mode: str = MODE_PLAIN,
     normalization: str = SUM_LAMBDA_ONE,
 ) -> StationarityVerdict:
-    """First-order test, then second-order multipliers along the critical
-    cone's finite candidate set (`critical_candidates`).  SecondOrderKT means
-    every candidate admits a pair: exact up to tol, within the stated limit
-    (plain mode and Σλ = 1 vertices; s <= 2 or at most two vertices).  The
-    band does not depend on d, so any pair accepted here (the first-order
-    pair, then each LP pair) that bends upward along d settles it (see
-    `_reused`); the LP runs only when none does, once per distinct (f2, g2)."""
+    """First-order test, then one second-order multiplier question per
+    direction of the critical cone's finite candidate set
+    (`critical_candidates`).  SecondOrderKT means every candidate admits a
+    pair: exact up to tol, within the stated limit (plain mode and Σλ = 1
+    vertices; s <= 2 or at most two vertices)."""
     m = LocalModel(P, x, tol)
     fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
                                    per_direction=(), directions_tested=0)
-    pool, failed, act, outcomes = [fo], set(), list(m.active.indices), []
+    outcomes = []
     for da in m.critical_directions():
         f2, g2 = m.second(da.direction)
-        obj, con = _supports(da, mode)
-        key = (f2.tobytes(), g2.tobytes(), obj, con)  # f''(x; -d) = f''(x; d): one LP for both
-        pair = None if key in failed else _reused(pool, f2, g2, act, obj, con)
-        if pair is None and key not in failed:
-            pair = m.multipliers(f2, g2, obj, con, normalization=normalization)
-            if pair is None:
-                failed.add(key)
-            else:
-                pool.append(pair)
+        pair = m.multipliers(f2, g2, *_supports(da, mode), normalization=normalization)
         outcomes.append(DirectionOutcome(analysis=da, f2=f2, g2=g2, multipliers=pair))
     all_ok = all(o.multipliers is not None for o in outcomes)
     return StationarityVerdict(

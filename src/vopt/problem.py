@@ -11,6 +11,7 @@ condition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,6 @@ import numpy as np
 
 from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, hessian,
                    parse_expr, second_dir_deriv)
-from .linprog import LpProblem, NumericalBreakdown, solve_lp
 
 __all__ = [
     "SUM_LAMBDA_ONE",
@@ -263,7 +263,7 @@ class LocalModel:
     feasible point x, computed once: the active set A(x), the gradient rows
     Gf (n x s) of the objectives and Gg (|A| x s) of the active constraints,
     and the per-row activity tolerances tol·(1 + |row|).  `multipliers` is
-    the one KT-multiplier oracle."""
+    the one KT-multiplier oracle, read off the cone's extreme `rays`."""
 
     def __init__(self, P: ProblemDef, x, tol: float = DEFAULT_TOL):
         self.P = P
@@ -279,71 +279,76 @@ class LocalModel:
         self.f_tols = tol * (1.0 + norms[: P.n_objectives])
         self.g_tols = tol * (1.0 + norms[P.n_objectives :])
 
-    def multipliers(self, f2=None, g2=None, obj_support=None, con_support=None, lam=None,
-                    normalization: str = SUM_LAMBDA_ONE) -> MultiplierPair | None:
-        """The KT-multiplier oracle: one LP over w = (λ̃, μ̃) >= 0 on the
-        gradient rows r_k, each divided by c_k = max(|row_k|, 1).  It
-        minimises the ∞-norm stationarity residual t = max|Σ w_k r_k| and
-        accepts iff t <= tol·(1 + Σ w_k |r_k|).  With second derivatives f2
-        (all objectives) and g2 (active constraints) that band is stated as
-        rows, a curvature row L''(x; d) >= 0 is added and min(L'', 1) is
-        maximised.  Support tuples drop the other columns; `lam` pins λ.
-        λ = λ̃/c and μ = μ̃/c are then rescaled once so that Σλ = 1 (Fritz
-        John: Σλ + Σμ = 1).  None when no pair passes."""
-        P, act, tol = self.P, self.active.indices, self.tol
-        obj = list(range(P.n_objectives)) if obj_support is None else list(obj_support)
-        con = list(range(len(act))) if con_support is None else [act.index(j) for j in con_support]
-        if not obj and normalization == SUM_LAMBDA_ONE:
-            return None
-        rows = np.vstack([self.Gf[obj], self.Gg[con]])
+    @functools.cached_property
+    def rays(self) -> np.ndarray:
+        """The extreme rays of the KT cone {w >= 0 : Σ w_k row_k = 0} within the
+        stationarity band, one row per direction over (objectives, active
+        constraints).  With the rows scaled by c_k = max(|row_k|, 1) into the
+        columns R, a ray is a support S where [1 on λ; R_S]·w = e₁ (1 on all of
+        S when S holds no objective) has full column rank and a solution
+        w >= 0 with |R_S w| <= tol·(1 + Σ w_k|R_k|); it is returned as w/c."""
+        rows = np.vstack([self.Gf, self.Gg])
+        n, k = len(self.Gf), len(rows)
         scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-        R = rows.T / scale  # s x k: one scaled row per column of w
-        norms = np.linalg.norm(R, axis=0)
-        (s, k), nl, second = R.shape, len(obj), f2 is not None
-        # columns w, then t (or v with curvature); each stationarity row twice
-        A = np.zeros((2 * s + 3 * second + (nl if lam is not None else 1), k + 1))
-        b = np.zeros(len(A))
-        senses = ["<=", ">="] * s
-        sign = np.tile([1.0, -1.0], s)
-        A[: 2 * s, :k] = np.repeat(R, 2, axis=0)
-        if second:  # the band as rows: |r·w| <= tol·(1 + norms·w)
-            A[: 2 * s, :k] -= np.outer(sign, tol * norms)
-            b[: 2 * s] = sign * tol
-            curv = np.concatenate([np.asarray(f2)[obj], np.asarray(g2)[con]]) / scale
-            A[2 * s, :k] = curv  # L'' >= 0
-            A[2 * s + 1] = np.append(-curv, 1.0)  # v <= L''
-            A[2 * s + 2, k] = b[2 * s + 2] = 1.0  # v <= 1
-            senses += [">=", "<=", "<="]
-        else:  # |r·w| <= t
-            A[: 2 * s, k] = -sign
-        r = 2 * s + 3 * second
-        if lam is not None:
-            pinned = np.asarray(lam, dtype=float)[obj] * scale[:nl]
-            A[r:, :nl], b[r:] = np.eye(nl), pinned / pinned.sum()
-            senses += ["="] * nl
-        else:
-            A[r, : k if normalization == FRITZ_JOHN else nl] = b[r] = 1.0
-            senses.append("=")
-        c = np.append(np.zeros(k), 1.0)
-        out = solve_lp(LpProblem(c=c, A=A, senses=senses, b=b,
-                                 free=(k,) if second else (), maximize=second))
-        if out.status == "infeasible":
+        R = rows.T / scale
+        out: list[np.ndarray] = []
+        for S in (list(S) for S in _subsets(k) if S):
+            lead = np.less(S, n) if S[0] < n else np.ones(len(S))
+            w, _, rank, _ = np.linalg.lstsq(np.vstack([lead, R[:, S]]),
+                                            np.eye(len(R) + 1)[0], rcond=None)
+            band = self.tol * (1.0 + np.linalg.norm(R[:, S], axis=0) @ w)
+            if rank == len(S) and w.min() >= 0.0 and np.abs(R[:, S] @ w).max() <= band:
+                ray = np.zeros(k)
+                ray[S] = w / scale[S]
+                unit = ray / np.linalg.norm(ray)
+                if not any(np.abs(unit - r / np.linalg.norm(r)).max() <= 1e-9 for r in out):
+                    out.append(ray)
+        return np.array(out).reshape(-1, k)
+
+    def vertices(self, obj_support=None, con_support=None,
+                 normalization: str = SUM_LAMBDA_ONE) -> tuple[np.ndarray, np.ndarray]:
+        """(vertices, recession rays) of the multiplier set, read off the
+        `rays` that vanish off the supports (all columns when None).  Under
+        Σλ = 1 the vertices are the rays with λ ≠ 0, scaled to Σλ = 1, and the
+        rays with λ = 0 recede; under Fritz John every ray is a vertex, scaled
+        to Σλ + Σμ = 1."""
+        n, act = self.P.n_objectives, self.active.indices
+        inside = np.ones(self.rays.shape[1], dtype=bool)
+        if obj_support is not None:
+            inside[:n] = np.isin(np.arange(n), obj_support)
+        if con_support is not None:
+            inside[n:] = np.isin(act, con_support)
+        W = self.rays[~self.rays[:, ~inside].any(axis=1)]
+        if normalization == FRITZ_JOHN:
+            return W / W.sum(axis=1, keepdims=True), W[:0]
+        lam = W[:, :n].sum(axis=1)
+        return W[lam > 0.0] / lam[lam > 0.0, None], W[lam == 0.0]
+
+    def multipliers(self, f2=None, g2=None, obj_support=None, con_support=None,
+                    normalization: str = SUM_LAMBDA_ONE) -> MultiplierPair | None:
+        """The KT-multiplier oracle, answered from `vertices`: at first order
+        the first vertex.  With second derivatives f2 (all objectives) and g2
+        (active constraints) the vertex with the largest L''(x; d); when that
+        is negative, a recession ray with positive L'' lifts it to L'' = 1.
+        None when no pair passes."""
+        V, rec = self.vertices(obj_support, con_support, normalization)
+        if not len(V):
             return None
-        if out.status != "optimal":
-            raise NumericalBreakdown(f"multiplier search ended with status {out.status}")
-        w = np.maximum(out.x[:k], 0.0)
-        if not second and np.abs(R @ w).max(initial=0.0) > tol * (1.0 + norms @ w):
-            return None  # with curvature the LP's rows are this test already
-        lam_out, mu = np.zeros(P.n_objectives), np.zeros(P.n_constraints)
-        lam_out[obj] = w[:nl] / scale[:nl]
-        mu[[act[j] for j in con]] = w[nl:] / scale[nl:]
-        total = lam_out.sum() + (mu.sum() if normalization == FRITZ_JOHN else 0.0)
-        lam_out = lam_out / total if lam is None else np.array(lam, dtype=float)
-        mu = mu / total
-        mu_act = mu[list(act)]
-        residual = float(np.linalg.norm(lam_out @ self.Gf + mu_act @ self.Gg))
-        curvature = float(lam_out @ f2 + mu_act @ g2) if second else None
-        return MultiplierPair(lam=lam_out, mu=mu, normalization=normalization,
+        v = V[0]
+        if f2 is not None:
+            seconds = np.concatenate([f2, g2])
+            v = V[np.argmax(V @ seconds)]
+            low, lift = float(v @ seconds), rec @ seconds
+            if low < 0.0:
+                if not (lift > 0.0).any():
+                    return None
+                v = v + (1.0 - low) / lift.max() * rec[np.argmax(lift)]
+        n = self.P.n_objectives
+        lam, mu = v[:n], np.zeros(self.P.n_constraints)
+        mu[list(self.active.indices)] = v[n:]
+        residual = float(np.linalg.norm(lam @ self.Gf + v[n:] @ self.Gg))
+        curvature = None if f2 is None else float(lam @ f2 + v[n:] @ g2)
+        return MultiplierPair(lam=lam, mu=mu, normalization=normalization,
                               residual=residual, curvature=curvature)
 
     def directions(self, D) -> list[DirectionAnalysis]:
@@ -392,27 +397,21 @@ class LocalModel:
         their tolerance and the vertex Hessians (d = 0 always passes and is left out)."""
         rows = np.vstack([self.Gf, self.Gg])
         keep = np.linalg.norm(rows, axis=1) > np.concatenate([self.f_tols, self.g_tols])
-        units = critical_candidates(rows[keep], self._vertex_hessians(rows))
+        units = critical_candidates(rows[keep], self._vertex_hessians())
         return self.directions(units[self._critical(self.Gf @ units.T, self.Gg @ units.T)])
 
-    def _vertex_hessians(self, rows) -> list[np.ndarray]:
-        """Each distinct Σλ_i∇²f_i + Σμ_j∇²g_j over the multiplier vertices: the
-        supports S of the oracle's scaled columns R, holding an objective, where
-        [1 on λ; R_S]·w = e₁ has full column rank and a solution w >= 0 in band."""
+    def _vertex_hessians(self) -> list[np.ndarray]:
+        """Each distinct Σλ_i∇²f_i + Σμ_j∇²g_j over the `rays` that hold an
+        objective (the multiplier vertices, before Σλ = 1)."""
         P, n = self.P, self.P.n_objectives
         exprs = [*P.objectives, *(P.constraints[j] for j in self.active.indices)]
         H = np.array([hessian(e, self.point) for e in exprs])  # grad would have met any kink first
-        scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-        R = rows.T / scale
         out = []
-        for S in (list(S) for S in _subsets(len(exprs)) if S and S[0] < n):
-            w, _, rank, _ = np.linalg.lstsq(np.vstack([np.less(S, n), R[:, S]]),
-                                            np.eye(len(R) + 1)[0], rcond=None)
-            band = self.tol * (1.0 + np.linalg.norm(R[:, S], axis=0) @ w)
-            if rank == len(S) and w.min() >= 0.0 and np.abs(R[:, S] @ w).max() <= band:
-                Hv = np.tensordot(w / scale[S], H[S], axes=1)
-                if not any(np.abs(Hv - h).max() <= 1e-9 * np.abs(Hv).max() for h in out):
-                    out.append(Hv)
+        for ray in self.rays[self.rays[:, :n].any(axis=1)]:
+            S = np.flatnonzero(ray)
+            Hv = np.tensordot(ray[S], H[S], axes=1)
+            if not any(np.abs(Hv - h).max() <= 1e-9 * np.abs(Hv).max() for h in out):
+                out.append(Hv)
         return out
 
 

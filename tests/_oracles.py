@@ -4,7 +4,9 @@
   decide_alternative verdicts;
 - a Richardson-extrapolated limit quotient for the second directional
   derivative, a cross-check of the jet;
-- the support test of a multiplier pair."""
+- the support test of a multiplier pair;
+- a HiGHS feasibility check that a weight λ completes to a KT pair on the
+  stationarity band."""
 
 import math
 
@@ -138,3 +140,23 @@ def supported_on(pair, obj_idx, con_idx, tol: float = 1e-9) -> bool:
     ok_l = all(i in set(obj_idx) for i in range(len(pair.lam)) if pair.lam[i] > tol)
     ok_m = all(j in set(con_idx) for j in range(len(pair.mu)) if pair.mu[j] > tol)
     return ok_l and ok_m
+
+
+def band_admits(P, x, lam, tol: float = 1e-8) -> bool:
+    """Some μ >= 0 on the active set puts (λ, μ) in the stationarity band:
+    with rows scaled by c = max(|row|, 1),
+    |Σλ_i∇f_i + Σμ_j∇g_j|∞ <= tol·(Σλ_i c_i + Σλ_i|∇f_i| + Σμ_j|∇g_j|),
+    decided by HiGHS on the rows of that inequality."""
+    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
+    Gf = np.array([grad(f, x) for f in P.objectives])
+    values = [evaluate(g, x) for g in P.constraints]
+    Gg = np.array([grad(g, x) for g, v in zip(P.constraints, values)
+                   if abs(v) <= tol * (1.0 + abs(v))]).reshape(-1, len(x))
+    fn, gn = np.linalg.norm(Gf, axis=1), np.linalg.norm(Gg, axis=1)
+    base, room = lam @ Gf, tol * (lam @ np.maximum(fn, 1.0) + lam @ fn)
+    if not len(Gg):
+        return bool((np.abs(base) <= room).all())
+    A_ub = np.vstack([Gg.T - tol * gn, -Gg.T - tol * gn])
+    b_ub = np.concatenate([room - base, room + base])
+    res = linprog(np.zeros(len(Gg)), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    return res.status == 0

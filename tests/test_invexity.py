@@ -6,6 +6,8 @@ from pathlib import Path
 
 from vopt.expr import evaluate
 from vopt.gridsearch import find_kt_points
+from test_ktcheck import HIGHDIM_5_11
+from vopt.expr import grad
 from vopt.invexity import (
     CONSISTENT_AT_RESOLUTION,
     FALSIFIED,
@@ -20,6 +22,7 @@ from vopt.invexity import (
     SECOND_ORDER_KT_PSEUDOINVEX_I,
     SECOND_ORDER_KT_PSEUDOINVEX_II,
     SECOND_ORDER_KTSP_INVEX,
+    _candidate_triples,
     check_class,
     inclusion_audit,
     pointwise_eta_feasibility,
@@ -178,6 +181,22 @@ def test_pointwise_refutation(exA):
     assert evaluate(exA.objectives[0], (1.0, 0.0)) < evaluate(exA.objectives[0], (0.0, 0.0))
 
 
+def test_kt_pair_refutes_system_2_where_the_exact_decision_broke_down():
+    # highdim seed 5 problem 11: no active constraint, and grad f2 is nearly
+    # antiparallel to grad f1; the exact alternative decision raised
+    # "neither alternative system was decidable" on this pair
+    P = parse_problem(HIGHDIM_5_11)
+    base = [float.fromhex(h) for h in ("0x1.878eca7953a70p-1", "-0x1.7cc93b7efb3b5p-1",
+                                       "-0x1.cff9c60cf3e36p-1", "-0x1.a23902cc924dep-2")]
+    probe = [float.fromhex(h) for h in ("-0x1.a0b085977cd53p-5", "0x1.29660d15afdb6p-1",
+                                        "0x1.94758a4c9c7e6p-5", "0x1.268244a59fd27p-4")]
+    r = pointwise_eta_feasibility(P, base, probe, order=ORDER_FIRST)
+    assert not r.solvable and isinstance(r.certificate, MultiplierWitness)
+    y, z = r.certificate.y, r.certificate.z
+    assert (y >= 0).all() and y.sum() == pytest.approx(1.0) and z.size == 0
+    assert np.linalg.norm(y @ np.array([grad(f, base) for f in P.objectives])) <= 1e-7
+
+
 def test_pointwise_bad_order(exA):
     with pytest.raises(ValueError):
         pointwise_eta_feasibility(exA, (0.0, 0.0), (1.0, 0.0), order="Third")
@@ -210,6 +229,22 @@ def test_inclusion_audit_exA(exA):
         SECOND_ORDER_KT_PSEUDOINVEX_II,
         SECOND_ORDER_KT_INVEX,
     ):
+        assert rep.verdict(klass).status == CONSISTENT_AT_RESOLUTION
+
+
+def test_an_interior_weight_is_no_second_order_triple():
+    # At the origin both gradients vanish, so every lambda on the simplex is a
+    # KT weight.  lam H1 + (1 - lam) H2 is PSD only for lam_1 <= 0.4463; at the
+    # uniform weight it is [[3.8, 1.2], [1.2, 0.15]], indefinite, so (1/2, 1/2)
+    # is no second-order triple and cannot falsify the second-order classes.
+    P = parse_problem("var x1 in [-1, 1]\nvar x2 in [-1, 1]\n"
+                      "min 0.05*x1^2 + 2.8*x1*x2 - 0.4*x2^2\n"
+                      "min 3.75*x1^2 - 0.4*x1*x2 + 0.55*x2^2\n")
+    triples = _candidate_triples(P, np.zeros(2), 1e-8, True)
+    assert [tuple(lam) for lam, _ in triples] == [(0.0, 1.0)]
+    rep = inclusion_audit(P)
+    assert rep.verdict(KTSP_INVEX).status == FALSIFIED
+    for klass in (SECOND_ORDER_KTSP_INVEX, SECOND_ORDER_KT_INVEX):
         assert rep.verdict(klass).status == CONSISTENT_AT_RESOLUTION
 
 

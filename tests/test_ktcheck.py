@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import vopt
 import vopt.expr
 import vopt.ktcheck
+import vopt.linprog
 import vopt.memo
 import vopt.problem
 from pathlib import Path
@@ -282,6 +283,28 @@ def test_classification_invariant_under_objective_scaling(c):
     assert classify_point(P, [0.5, 0.0]).level == NOT_STATIONARY
 
 
+def test_recession_ray_lifts_the_curvature():
+    # At the origin grad g1 = (0, -1) and grad g2 = (0, 1) cancel, so the
+    # multiplier set is unbounded along mu = (1, 1).  Along d = (1, 0) every
+    # vertex bends down (f_i'' = -6, g_j'' = 2) and only a pair far out on
+    # that recession ray certifies the second-order condition.
+    P = parse_problem("var x1 in [-1, 1]\nvar x2 in [-1, 1]\n"
+                      "min x2 - 3*x1^2\nmin 2*x2 - 3*x1^2\n"
+                      "st x1^2 - x2 <= 0\nst x1^2 + x2 <= 0\n")
+    grads = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, -1.0], [0.0, 1.0]])
+    hessians = np.array([np.diag([-6.0, 0.0])] * 2 + [np.diag([2.0, 0.0])] * 2)
+    norms = np.linalg.norm(grads, axis=1)  # the stationarity band on these rows, loosest form
+    for mode in ("plain", MODE_SUPPORT):
+        for normalization in ("SumLambdaOne", FRITZ_JOHN):
+            v = classify_point(P, [0.0, 0.0], mode=mode, normalization=normalization)
+            assert v.level == SECOND_ORDER_KT and v.directions_tested > 0
+            for o in v.per_direction:
+                w, d = np.concatenate([o.multipliers.lam, o.multipliers.mu]), o.analysis.direction
+                band = 1e-8 * (w @ (norms + np.maximum(norms, 1.0)))
+                assert (w >= 0).all() and np.abs(w @ grads).max() <= band
+                assert d @ np.tensordot(w, hessians, axes=1) @ d >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # simplex regressions
 
@@ -300,7 +323,8 @@ st -0.314*x1 - 0.409*x2 + 0.954*x3 - 0.783*x4 - 1.15 <= 0
 
 def test_first_order_when_the_ratio_test_minimum_is_below_minus_one():
     # A ratio below -1 made the Bland tie window best + 1e-9 (1 + best) fall
-    # below best, so no row tied and the pivot search raised ValueError.
+    # below best, so no row tied and the pivot search raised ValueError.  The
+    # oracle solves no LP here now; test_linprog.py keeps the simplex cases.
     P = parse_problem(HIGHDIM_5_11)
     x = [
         float.fromhex(h)
@@ -314,15 +338,14 @@ def test_first_order_when_the_ratio_test_minimum_is_below_minus_one():
 
 
 # ---------------------------------------------------------------------------
-# second-order certificates: one LP per distinct question
+# second-order certificates: no LP per multiplier question
 
 
 def test_paper_pass_lp_budget(monkeypatch, capsys):
-    # The band is the same for every direction at a point, so an accepted pair
-    # that bends upward along d settles d; one LP per direction made 587 LPs a
-    # pass, 436 of them second-order, and analysed 2,576 directions to test 436.
+    # Every multiplier question is read off the extreme rays of the multiplier
+    # cone, so a paper pass solves no LP; each direction built is tested once.
     lps, built, tested = [], [], []
-    solve, directions = vopt.problem.solve_lp, vopt.problem.LocalModel.directions
+    solve, directions = vopt.linprog.solve_lp, vopt.problem.LocalModel.directions
     outcome = vopt.ktcheck.DirectionOutcome
 
     def counted_solve(p):
@@ -338,14 +361,16 @@ def test_paper_pass_lp_budget(monkeypatch, capsys):
         tested.append(kw)
         return outcome(**kw)
 
-    monkeypatch.setattr(vopt.problem, "solve_lp", counted_solve)
+    for name, module in list(sys.modules.items()):  # every binding of solve_lp
+        if name.split(".")[0] == "vopt" and getattr(module, "solve_lp", None) is solve:
+            monkeypatch.setattr(module, "solve_lp", counted_solve)
     monkeypatch.setattr(vopt.problem.LocalModel, "directions", counted_directions)
     monkeypatch.setattr(vopt.ktcheck, "DirectionOutcome", counted_outcome)
     vopt.memo.clear()
     for argv in PAPER_PASS:
         assert main(argv) == 0, argv
         capsys.readouterr()
-    assert 0 < len(lps) <= 260
+    assert len(lps) == 0
     assert 0 < len(built) <= len(tested)
 
 

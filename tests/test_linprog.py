@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from vopt.linprog import (
     LpProblem,
@@ -8,6 +12,7 @@ from vopt.linprog import (
     decide_alternative,
     solve_lp,
     verify_certificate,
+    _simplex,
 )
 
 from _oracles import multiplier_system_solvable, random_instance, strict_system_solvable
@@ -85,6 +90,40 @@ def test_degenerate_rhs_terminates():
     )
     assert out.status == "optimal"
     assert out.objective == pytest.approx(-0.05)
+
+
+def _highs_objective(p: LpProblem) -> float:
+    """The optimum of p by HiGHS, an independent solver."""
+    A, b, sign = np.asarray(p.A), np.asarray(p.b), -1.0 if p.maximize else 1.0
+    ub = [i for i, t in enumerate(p.senses) if t != "="]
+    eq = [i for i, t in enumerate(p.senses) if t == "="]
+    flip = np.array([1.0 if p.senses[i] == "<=" else -1.0 for i in ub])
+    bounds = [(None, None) if j in p.free else (0, None) for j in range(len(p.c))]
+    res = linprog(sign * np.asarray(p.c), A_ub=A[ub] * flip[:, None], b_ub=b[ub] * flip,
+                  A_eq=A[eq], b_eq=b[eq], bounds=bounds, method="highs")
+    assert res.status == 0
+    return sign * res.fun
+
+
+def test_multiplier_lp_with_a_negative_rhs_while_pivoting():
+    # The 9x3 first-order multiplier LP that vopt once built at highdim seed 5
+    # problem 11's KT point 0x1.7814b5d540248p-4, ...: rounding drives its
+    # right-hand side to -4.9e-13 while pivoting.
+    data = json.loads((Path(__file__).parent / "data" / "multiplier_lp_9x3.json").read_text())
+    p = LpProblem(c=np.array(data["c"]), A=np.array(data["A"]), senses=data["senses"],
+                  b=np.array(data["b"]), free=tuple(data["free"]), maximize=data["maximize"])
+    out = solve_lp(p)
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(_highs_objective(p), abs=1e-9)
+
+
+def test_ratio_test_minimum_below_minus_one_keeps_a_tied_row():
+    # A rounded-negative rhs over a tiny pivot gives the ratio -4/3; the Bland
+    # tie window best + tol·(1 + best) then fell below best and no row tied.
+    T = np.array([[1.5e-12, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    b = np.array([-2e-12, 1.0])
+    *_, status = _simplex(T, b, [1, 2], np.array([-1.0, 0.0, 0.0]), None)
+    assert status == "optimal"
 
 
 def test_strict_side_simple():
