@@ -4,8 +4,9 @@ Every subcommand prints a short human summary and, with --json PATH, writes
 a report {version, problem_sha256, command, seed, payload, elapsed_ms} with
 sorted keys, so the same invocation and seed reproduce the same payload.
 Exit codes: 0 ok, 1 usage or parse failure, an oversized grid or stdout closed
-early, 2 infeasible point, empty domain, bad weights or an expression undefined
-at the given point, 3 numerical breakdown or a failed reproduction diff.
+early, 2 infeasible point, a saddle point outside the box, empty domain, bad
+weights or an expression undefined at the given point, 3 numerical breakdown
+or a failed reproduction diff.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .ktcheck import classify_point
 from .linprog import (BlockShapeError, MultiplierWitness, NumericalBreakdown, decide_alternative,
                       verify_certificate)
 from .problem import (
+    DEFAULT_TOL,
     BadBounds,
     EmptyObjectives,
     InfeasiblePoint,
@@ -39,6 +41,7 @@ from .problem import (
 from .scalarize import (
     BadWeights,
     NoFeasiblePointInBox,
+    PointOutsideBox,
     check_saddle,
     relation_chain,
     solve_weighting,
@@ -125,13 +128,15 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _floats(text: str, want: int, what: str) -> np.ndarray:
+def _floats(text: str, want: int, what: str, finite: bool = False) -> np.ndarray:
     try:
         vals = np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as e:
         raise UsageError(f"bad {what} {text!r}: {e}") from e
     if vals.size != want:
         raise UsageError(f"{what} needs {want} components, got {vals.size}")
+    if finite and not np.isfinite(vals).all():
+        raise UsageError(f"{what} needs finite components, got {text!r}")
     return vals
 
 
@@ -183,7 +188,7 @@ def _fmt_point(x) -> str:
 
 def _cmd_analyze(args):
     P, digest = _load(args.problem)
-    x = _floats(args.point, P.dim, "--point")
+    x = _floats(args.point, P.dim, "--point", finite=True)
     verdict = classify_point(P, x, tol=args.tol)
     relation = None
     if verdict.first_order is not None:
@@ -247,7 +252,7 @@ def _cmd_classify(args):
 
 def _cmd_saddle(args):
     P, digest = _load(args.problem)
-    x = _floats(args.point, P.dim, "--point")
+    x = _floats(args.point, P.dim, "--point", finite=True)
     lam = _floats(args.lam, P.n_objectives, "--lambda")
     mu = _floats(args.mu, P.n_constraints, "--mu") if args.mu is not None else np.zeros(P.n_constraints)
     v = check_saddle(P, lam, x, mu, grid=args.grid, tol=args.tol)
@@ -384,7 +389,7 @@ def _tolerance(text: str) -> float:
 
 
 def _add_common(sub, grid=True, dirs=True):
-    sub.add_argument("--tol", type=_tolerance, default=1e-8,
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                      help="feasibility/stationarity tolerance")
     if grid:
         sub.add_argument(
@@ -475,7 +480,7 @@ def main(argv=None) -> int:
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (InfeasiblePoint, NoFeasiblePointInBox, BadWeights, ExprError) as e:
+    except (InfeasiblePoint, NoFeasiblePointInBox, PointOutsideBox, BadWeights, ExprError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalBreakdown as e:

@@ -8,7 +8,6 @@ more.  All orderings are lexicographic so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .expr import ExprError, eval_grid, evaluate, grad, hessian
 from .ktcheck import first_order_kt
 from .memo import GRIDS, RESULTS, memo
-from .problem import InfeasiblePoint, ProblemDef, within
+from .problem import DEFAULT_TOL, InfeasiblePoint, ProblemDef, _subsets, within
 
 __all__ = [
     "GridData",
@@ -214,7 +213,7 @@ def nnls(cols: np.ndarray, n: int) -> np.ndarray:
     A = np.concatenate([cols, np.broadcast_to(100.0 * (np.arange(k) < n), (N, 1, k))], axis=1)
     b = 100.0 * (np.arange(s + 1) == s)  # 100 = sqrt(W)
     best, score = np.full(N, np.inf), np.full(N, np.inf)
-    for S in itertools.chain.from_iterable(itertools.combinations(range(k), r) for r in range(1, k + 1)):
+    for S in filter(None, _subsets(k)):  # every nonempty support
         w = np.linalg.pinv(A[:, :, S]) @ b
         fit = (A[:, :, S] @ w[:, :, None])[:, :, 0]
         res = np.linalg.norm(fit - b, axis=1)
@@ -279,7 +278,7 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
 
 
 @memo(RESULTS)
-def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = 1e-8):
+def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = DEFAULT_TOL):
     """Scan the box for first-order KT points: `nnls` scores the coarse cells,
     grid-local minima and the 32 best cells seed (at most SEED_CAP, best
     first), Gauss-Newton refines with near-active constraint snapping, and

@@ -29,8 +29,7 @@ from .linprog import (
     decide_alternative,
     solve_lp,
 )
-from .memo import RESULTS, memo
-from .problem import DEFAULT_TOL, DirectionAnalysis, LocalModel, ProblemDef, feasible_at
+from .problem import DEFAULT_TOL, DirectionAnalysis, ProblemDef, feasible_at, local_model
 from .scalarize import NoFeasiblePointInBox, check_saddle, lagrangian, solve_weighting
 
 KTSP_INVEX = "KTSPInvex"
@@ -159,9 +158,10 @@ def _values(exprs, x) -> np.ndarray:
 
 class _Scan:
     """One resolution's inputs to the eight class checks: the grid and the
-    stationary points.  Classifications, multiplier candidates, saddle and
-    weighting solves are memoised by problem content, so the checks share
-    them without keeping state here."""
+    stationary points.  The per-point models (`local_model`) and the saddle
+    and weighting solves are memoised by problem content, so the checks
+    share them without keeping state here; classifications and multiplier
+    candidates are cheap reads of the shared model."""
 
     def __init__(self, P: ProblemDef, grid, tol):
         self.P, self.tol = P, tol
@@ -177,32 +177,27 @@ class _Scan:
                 if classify_point(self.P, x, tol=self.tol).level == SECOND_ORDER_KT]
 
 
-@memo(RESULTS)
 def _candidate_triples(P: ProblemDef, x, tol, second: bool = False):
     """KT multiplier candidates at x: the vertices (lambda, mu) of the
     multiplier set under Sum lambda = 1 (`LocalModel.vertices`).  The class
     defects are linear in (lambda, mu) for a fixed rival, so the vertices
     settle the whole set.  With `second`, pairs must also have nonnegative
-    curvature along each critical direction that classify_point(P, x, tol)
-    tests."""
-    m = LocalModel(P, x, tol)
+    curvature along each of the model's `critical_directions`."""
+    m = local_model(P, x, tol)
     n, act = P.n_objectives, list(m.active.indices)
+
+    def bends_down(v, f2, g2) -> bool:
+        cur = float(v[:n] @ f2) + (float(v[n:] @ g2) if g2.size else 0.0)
+        return cur < -tol * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
+
     kept = []
     for v in m.vertices()[0]:
+        if second and any(bends_down(v, f2, g2) for f2, g2 in m.critical_seconds):
+            continue
         mu = np.zeros(P.n_constraints)
         mu[act] = v[n:]
         kept.append((v[:n], mu))
-
-    if not second:
-        return tuple(kept)
-    outcomes = classify_point(P, x, tol=tol).per_direction
-
-    def bends_down(lam, mu, f2, g2) -> bool:
-        cur = float(lam @ f2) + (float(mu[act] @ g2) if g2.size else 0.0)
-        return cur < -tol * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
-
-    return tuple((lam, mu) for lam, mu in kept
-                 if not any(bends_down(lam, mu, o.f2, o.g2) for o in outcomes))
+    return tuple(kept)
 
 
 def _saddle_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
@@ -372,7 +367,7 @@ def pointwise_eta_feasibility(
     second order.
     """
     y = np.asarray(y, dtype=float)
-    m = LocalModel(P, x, tol)
+    m = local_model(P, x, tol)
     x, act, fg, gg, s = m.point, list(m.active.indices), m.Gf, m.Gg, P.dim
 
     if order == ORDER_SECOND:

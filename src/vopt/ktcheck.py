@@ -17,17 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linprog import MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative
-from .memo import RESULTS, memo
 from .problem import (
     DEFAULT_TOL,
     FRITZ_JOHN,
     SUM_LAMBDA_ONE,
     DirectionAnalysis,
-    LocalModel,
     MissingSecondDerivative,
     MultiplierPair,
     ProblemDef,
     analyze_direction,
+    local_model,
 )
 
 __all__ = [
@@ -64,13 +63,10 @@ class NotCritical(Exception):
 
 @dataclass(frozen=True, eq=False)
 class DirectionOutcome:
-    """A tested critical direction d: its analysis, f''(x; d) of every objective
-    (f2) and active constraint (g2), and the oracle's pair with L''(x; d) >= 0
-    on the band, or None if none is."""
+    """A tested critical direction d: its analysis and the oracle's pair with
+    L''(x; d) >= 0 on the band, or None if none is."""
 
     analysis: DirectionAnalysis
-    f2: np.ndarray
-    g2: np.ndarray
     multipliers: MultiplierPair | None
 
 
@@ -101,7 +97,7 @@ def first_order_kt(
     """One pair (lam, mu) with lam, mu >= 0, mu supported on the active set,
     and Sum lam_i grad f_i + Sum mu_j grad g_j = 0 within the stationarity
     band of `LocalModel.multipliers`; None when no pair fits it."""
-    return LocalModel(P, x, tol).multipliers(normalization=normalization)
+    return local_model(P, x, tol).multipliers(normalization=normalization)
 
 
 def second_order_multipliers(
@@ -131,7 +127,6 @@ def _supports(da: DirectionAnalysis, mode: str):  # the oracle's columns: all, o
     return (da.zero_objectives, da.zero_constraints) if mode == MODE_SUPPORT else (None, None)
 
 
-@memo(RESULTS)
 def classify_point(
     P: ProblemDef,
     x,
@@ -143,17 +138,17 @@ def classify_point(
     direction of the critical cone's finite candidate set
     (`critical_candidates`).  SecondOrderKT means every candidate admits a
     pair: exact up to tol, within the stated limit (plain mode and Σλ = 1
-    vertices; s <= 2 or at most two vertices)."""
-    m = LocalModel(P, x, tol)
+    vertices; s <= 2 or at most two vertices).  A read of the shared model."""
+    m = local_model(P, x, tol)
     fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
                                    per_direction=(), directions_tested=0)
-    outcomes = []
-    for da in m.critical_directions():
-        f2, g2 = m.second(da.direction)
-        pair = m.multipliers(f2, g2, *_supports(da, mode), normalization=normalization)
-        outcomes.append(DirectionOutcome(analysis=da, f2=f2, g2=g2, multipliers=pair))
+    outcomes = [
+        DirectionOutcome(analysis=da, multipliers=m.multipliers(
+            f2, g2, *_supports(da, mode), normalization=normalization))
+        for da, (f2, g2) in zip(m.critical_directions, m.critical_seconds)
+    ]
     all_ok = all(o.multipliers is not None for o in outcomes)
     return StationarityVerdict(
         point=m.point,

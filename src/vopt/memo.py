@@ -1,56 +1,29 @@
 """One process-lifetime memo for the pure functions of a problem.
 
-A call is keyed by the problem's parsed content (variable names, box bytes and
-expression trees; never its source text, so comments do not matter) and the
-exact bits of every other argument: -0.0 is not 0.0, nor is a point one ulp
-away the same point.  Shared values are frozen (arrays read-only; a list, dict
-or set in one is an error), and each function keeps its `size` most recently
-used entries.  Nothing is computed at import.
+A call is keyed by its arguments: a problem by its parsed content (a
+`ProblemDef` hashes and compares by variable names, box bytes and expression
+trees; never its source text, so comments do not matter), every other
+argument by its exact bits: -0.0 is not 0.0, nor is a point one ulp away the
+same point.  Shared values are frozen (arrays read-only; a list, dict or set
+in one is an error; the call's own arguments are left alone), and so are the
+`shared` members a value fills in later.  Each function keeps its `size` most
+recently used entries.  Nothing is computed at import.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import weakref
 from collections import OrderedDict
 
 import numpy as np
-
-from .problem import ProblemDef
 
 GRIDS = 2  # entries per function; a 61^3 or 21^4 grid holds 10-12 MB
 RESULTS = 128
 _stores: list[OrderedDict] = []
 
 
-class _Content:
-    """A problem's content key with its hash taken once: a memo hit then
-    hashes the expression trees never, and compares them only across two
-    loads of the same problem.  The box is read-only, so the key stays true."""
-
-    __slots__ = ("parts", "hash")
-
-    def __init__(self, P: ProblemDef):
-        self.parts = (P.var_names, _key(P.lower), _key(P.upper), P.objectives, P.constraints)
-        self.hash = hash(self.parts)
-
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, _Content) and self.hash == other.hash
-                                 and self.parts == other.parts)
-
-
-_contents: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _key(v):
-    if isinstance(v, ProblemDef):
-        if v not in _contents:
-            _contents[v] = _Content(v)
-        return _contents[v]
     if isinstance(v, np.ndarray):
         return (np.ndarray, v.dtype.str, v.shape, v.tobytes())
     if isinstance(v, (tuple, list)):
@@ -59,7 +32,7 @@ def _key(v):
 
 
 def _freeze(v, seen: set) -> None:
-    if id(v) in seen or isinstance(v, ProblemDef):
+    if id(v) in seen:
         return
     seen.add(id(v))
     if isinstance(v, (list, dict, set)):
@@ -85,7 +58,7 @@ def memo(size: int):
             key = _key(tuple(call.arguments.values()))
             if key not in store:
                 value = fn(*args, **kwargs)
-                _freeze(value, set())
+                _freeze(value, set(map(id, call.arguments.values())))
                 store[key] = value
                 if len(store) > size:
                     store.popitem(last=False)
@@ -96,6 +69,19 @@ def memo(size: int):
         return cached
 
     return decorate
+
+
+def shared(fn):
+    """A cached property whose value is frozen like a memoised one, so a
+    member filled in after its owner entered the memo is read-only too."""
+
+    @functools.wraps(fn)
+    def frozen(owner):
+        value = fn(owner)
+        _freeze(value, {id(owner)})
+        return value
+
+    return functools.cached_property(frozen)
 
 
 def clear() -> None:

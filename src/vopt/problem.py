@@ -11,7 +11,6 @@ condition.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, hessian,
                    parse_expr, second_dir_deriv)
+from .memo import RESULTS, memo, shared
 
 __all__ = [
     "SUM_LAMBDA_ONE",
@@ -28,6 +28,7 @@ __all__ = [
     "ActiveSet",
     "MultiplierPair",
     "LocalModel",
+    "local_model",
     "DirectionAnalysis",
     "ParseError",
     "EmptyObjectives",
@@ -86,10 +87,19 @@ class ProblemDef:
     source: str = ""
 
     def __post_init__(self):
-        for name in ("lower", "upper"):  # read-only copies: the memo keys on their bytes
-            box = np.array(getattr(self, name))
+        for name in ("lower", "upper"):  # read-only copies, so the content cannot go stale
+            box = np.array(getattr(self, name), dtype=float)
             box.flags.writeable = False
             object.__setattr__(self, name, box)
+        content = (self.var_names, self.lower.tobytes(), self.upper.tobytes(),
+                   self.objectives, self.constraints)
+        object.__setattr__(self, "_content", (hash(content), content))
+
+    def __eq__(self, other):  # by parsed content, never the source text: the memo's key
+        return self is other or (isinstance(other, ProblemDef) and self._content == other._content)
+
+    def __hash__(self):
+        return self._content[0]
 
     @property
     def dim(self) -> int:
@@ -263,7 +273,9 @@ class LocalModel:
     feasible point x, computed once: the active set A(x), the gradient rows
     Gf (n x s) of the objectives and Gg (|A| x s) of the active constraints,
     and the per-row activity tolerances tol·(1 + |row|).  `multipliers` is
-    the one KT-multiplier oracle, read off the cone's extreme `rays`."""
+    the one KT-multiplier oracle, read off the cone's extreme `rays`; the
+    rays, the `critical_directions` and their `critical_seconds` are filled
+    in on first use.  `local_model` shares one model per point."""
 
     def __init__(self, P: ProblemDef, x, tol: float = DEFAULT_TOL):
         self.P = P
@@ -279,7 +291,7 @@ class LocalModel:
         self.f_tols = tol * (1.0 + norms[: P.n_objectives])
         self.g_tols = tol * (1.0 + norms[P.n_objectives :])
 
-    @functools.cached_property
+    @shared
     def rays(self) -> np.ndarray:
         """The extreme rays of the KT cone {w >= 0 : Σ w_k row_k = 0} within the
         stationarity band, one row per direction over (objectives, active
@@ -392,13 +404,19 @@ class LocalModel:
             raise MissingSecondDerivative(str(e)) from e
         return f2, g2
 
-    def critical_directions(self) -> list[DirectionAnalysis]:
+    @shared
+    def critical_directions(self) -> tuple[DirectionAnalysis, ...]:
         """The critical members of `critical_candidates` on the rows outside
         their tolerance and the vertex Hessians (d = 0 always passes and is left out)."""
         rows = np.vstack([self.Gf, self.Gg])
         keep = np.linalg.norm(rows, axis=1) > np.concatenate([self.f_tols, self.g_tols])
         units = critical_candidates(rows[keep], self._vertex_hessians())
-        return self.directions(units[self._critical(self.Gf @ units.T, self.Gg @ units.T)])
+        return tuple(self.directions(units[self._critical(self.Gf @ units.T, self.Gg @ units.T)]))
+
+    @shared
+    def critical_seconds(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """`second` along each of the `critical_directions`, in order."""
+        return tuple(self.second(da.direction) for da in self.critical_directions)
 
     def _vertex_hessians(self) -> list[np.ndarray]:
         """Each distinct Σλ_i∇²f_i + Σμ_j∇²g_j over the `rays` that hold an
@@ -485,11 +503,17 @@ def _crossings(A, B) -> list[np.ndarray]:
     return found
 
 
+@memo(RESULTS)
+def local_model(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> LocalModel:
+    """The one shared LocalModel at x: every per-point question reads it."""
+    return LocalModel(P, x, tol)
+
+
 def analyze_direction(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> DirectionAnalysis:
     """Criticality analysis of one direction d at x (see LocalModel.directions)."""
-    return LocalModel(P, x, tol).directions([d])[0]
+    return local_model(P, x, tol).directions([d])[0]
 
 
 def sample_critical_directions(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> list[DirectionAnalysis]:
     """The critical directions tested at x (see LocalModel.critical_directions)."""
-    return LocalModel(P, x, tol).critical_directions()
+    return list(local_model(P, x, tol).critical_directions)

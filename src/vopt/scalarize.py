@@ -17,13 +17,13 @@ import numpy as np
 from .expr import ExprError, evaluate, grad
 from .gridsearch import (cluster_minima, descend, get_grid, grid_size, local_minima_cells, lowest,
                          weighted_phi)
-from .ktcheck import first_order_kt
 from .memo import RESULTS, memo
-from .problem import DEFAULT_TOL, ProblemDef, active_set, feasible_at, within
+from .problem import DEFAULT_TOL, ProblemDef, feasible_at, local_model, within
 
 __all__ = [
     "BadWeights",
     "NoFeasiblePointInBox",
+    "PointOutsideBox",
     "SaddleVerdict",
     "Minimizer",
     "MinimizerSet",
@@ -47,6 +47,10 @@ class BadWeights(Exception):
 
 
 class NoFeasiblePointInBox(Exception):
+    pass
+
+
+class PointOutsideBox(ValueError):
     pass
 
 
@@ -235,7 +239,7 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     lam, mubar = check_weights(P, lam, mubar)
     xbar = np.asarray(xbar, dtype=float)
     if not P.in_box(xbar, slack=1e-12):
-        raise ValueError("saddle candidate lies outside the box")
+        raise PointOutsideBox(f"saddle candidate {xbar.tolist()} lies outside the box")
     gvals = np.array([evaluate(g, xbar) for g in P.constraints])
     scale = 1.0 + float(np.abs(gvals).sum()) if gvals.size else 1.0
     left_ok = bool(
@@ -264,7 +268,8 @@ def relation_chain(
     violated forward implication among those is flagged as an anomaly."""
     lam, mu = check_weights(P, lam, mu)
     xbar = np.asarray(xbar, dtype=float)
-    act = active_set(P, xbar, tol)  # raises InfeasiblePoint
+    m = local_model(P, xbar, tol)  # raises InfeasiblePoint
+    act = m.active
 
     data = get_grid(P, grid)
 
@@ -289,7 +294,7 @@ def relation_chain(
         witness = data.pts[:, int(np.flatnonzero(dominated)[0])]
     weak_pareto = witness is None
 
-    kt = first_order_kt(P, xbar, tol) is not None
+    kt = m.multipliers() is not None
 
     anomalies = []
     if in_scal and not in_weight:

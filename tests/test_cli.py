@@ -105,6 +105,20 @@ def test_weighting_nan_lambda_exits_2(capsys):
     _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "exB.vopt", "--point", "nan,0"],
+    ["analyze", "exA.vopt", "--point", "inf,0"],
+])
+def test_non_finite_point_exits_1(argv, capsys):
+    assert main(argv) == 1
+    _one_line_error(capsys)
+
+
+def test_saddle_point_outside_the_box_exits_2(capsys):
+    assert main(["saddle", "exB.vopt", "--point", "5,0", "--lambda", "0.5,0.5"]) == 2
+    _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("grid", ["-5", "0", "1"])
 def test_grid_below_two_exits_1(grid, capsys):
     assert main(["weighting", "exB.vopt", "--lambda", "1,0", "--grid", grid]) == 1

@@ -268,6 +268,23 @@ def test_characterization_cross_check(exB):
     assert v.falsified == (len(dominated) > 0)
 
 
+@pytest.mark.parametrize("path", [*(FIX / f"{f}.vopt" for f in ("exA", "exB", "exBprime", "exC")),
+                                  Path(__file__).parent / "data" / "critical_line.vopt"])
+def test_a_first_order_witness_refutes_both_defining_systems(path):
+    # The class verdicts falsify through the characterizations (saddle,
+    # domination, weighting); pointwise_eta_feasibility decides the defining
+    # disjunction itself by LP.  A falsified pair must be refuted by both paths.
+    P = load_problem(path)
+    rep = inclusion_audit(P)
+    witnesses = [rep.verdict(k).witness for k in (KTSP_INVEX, KT_PSEUDOINVEX_I,
+                                                  KT_PSEUDOINVEX_II, KT_INVEX)
+                 if rep.verdict(k).falsified]
+    assert len(witnesses) == {"exA": 4, "exB": 4, "exBprime": 0, "exC": 4,
+                              "critical_line": 4}[path.stem]
+    for w in witnesses:
+        assert not pointwise_eta_feasibility(P, w.point, w.rival, order=ORDER_FIRST).solvable
+
+
 def test_unknown_class_rejected(exA):
     with pytest.raises(ValueError):
         check_class(exA, "Convex")

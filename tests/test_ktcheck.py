@@ -194,15 +194,16 @@ def test_classify_point_takes_each_gradient_once(exC, monkeypatch):
     assert v.directions_tested > 0
     assert v.per_direction[0].analysis.active.indices == ()
     assert len(calls) == 2
-    # warm: the same content again is a memo hit and takes no gradient
+    # warm: the same content again reads the memoised model and takes no gradient
     calls.clear()
-    assert classify_point(exC, [1.0, -1.0]) is v
+    again = classify_point(exC, [1.0, -1.0])
+    assert again.per_direction[0].analysis.model is v.per_direction[0].analysis.model
     assert calls == []
 
 
 def test_classify_deterministic(exA):
     a = classify_point(exA, [0.0, 0.0])
-    vopt.memo.clear()  # recompute, so the second verdict is not the memoised first
+    vopt.memo.clear()  # rebuild the model, so the second verdict is not read off the first one
     b = classify_point(exA, [0.0, 0.0])
     assert a.level == b.level
     assert a.directions_tested == b.directions_tested
@@ -372,6 +373,34 @@ def test_paper_pass_lp_budget(monkeypatch, capsys):
         capsys.readouterr()
     assert len(lps) == 0
     assert 0 < len(built) <= len(tested)
+
+
+def test_paper_pass_model_budget(monkeypatch, capsys):
+    # Every per-point question reads the memoised model, so a paper pass
+    # builds one model per bit-distinct point its scans and commands ask
+    # about, and enumerates the rays of each model at most once.  A model
+    # per question would make 129 models and 118 enumerations.
+    models, enumerations = [], []
+    init, rays = vopt.problem.LocalModel.__init__, vopt.problem.LocalModel.__dict__["rays"]
+    enumerate_rays = rays.func
+
+    def counted_init(self, *args, **kwargs):
+        models.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_rays(self):
+        enumerations.append(self)
+        return enumerate_rays(self)
+
+    monkeypatch.setattr(vopt.problem.LocalModel, "__init__", counted_init)
+    monkeypatch.setattr(rays, "func", counted_rays)
+    vopt.memo.clear()
+    for argv in PAPER_PASS:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert 0 < len(models) <= 79
+    assert 0 < len(enumerations) <= 68
+    assert len({id(m) for m in enumerations}) == len(enumerations)
 
 
 # closed forms of the fixtures' objectives and constraints: (value, gradient,

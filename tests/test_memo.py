@@ -14,10 +14,8 @@ import vopt.memo
 import vopt.problem
 from vopt.cli import main
 from vopt.gridsearch import _grid, find_kt_points, get_grid
-from vopt.invexity import _candidate_triples
-from vopt.ktcheck import (FRITZ_JOHN, MODE_PLAIN, MODE_SUPPORT, SUM_LAMBDA_ONE,
-                          classify_point)
-from vopt.problem import load_problem, parse_problem
+from vopt.ktcheck import classify_point
+from vopt.problem import load_problem, local_model, parse_problem
 from vopt.scalarize import _polished_min, check_saddle, solve_unconstrained, solve_weighting
 
 PAIR = "var x1 in [-2, 2]\nvar x2 in [-2, 2]\nmin x1^2 + x2^2\nmin (x1 - 1)^2 + x2^2\n"
@@ -25,7 +23,7 @@ COMMENTED = (
     "# two shifted paraboloids\nvar x1 in [-2, 2]   # first\nvar x2 in [-2, 2]\n\n"
     "min x1^2 + x2^2  # f1\nmin (x1 - 1)^2 + x2^2\n"
 )
-MEMOISED = (_grid, find_kt_points, classify_point, _polished_min, _candidate_triples)
+MEMOISED = (_grid, find_kt_points, local_model, _polished_min)
 
 
 def test_files_that_differ_only_in_comments_share_entries(tmp_path):
@@ -34,10 +32,11 @@ def test_files_that_differ_only_in_comments_share_entries(tmp_path):
     P, Q = load_problem(tmp_path / "plain.vopt"), load_problem(tmp_path / "commented.vopt")
     assert P.source != Q.source
     assert get_grid(P, 5) is get_grid(Q, 5)
-    assert find_kt_points(P, grid=5) is find_kt_points(Q, grid=5)
-    assert classify_point(P, [0.5, 0.0]) is classify_point(Q, [0.5, 0.0])
+    assert local_model(P, [0.5, 0.0]) is local_model(Q, [0.5, 0.0])
     assert solve_weighting(P, [0.5, 0.5], grid=5).value == solve_weighting(Q, [0.5, 0.5], 5).value
-    assert [len(fn.store) for fn in MEMOISED] == [1, 1, 1, 1, 0]
+    assert [len(fn.store) for fn in MEMOISED] == [1, 0, 1, 1]
+    assert find_kt_points(P, grid=5) is find_kt_points(Q, grid=5)
+    assert len(find_kt_points.store) == 1
 
 
 def test_default_grid_and_its_size_are_one_entry():
@@ -48,18 +47,18 @@ def test_default_grid_and_its_size_are_one_entry():
 
 @pytest.mark.parametrize("change", [
     dict(tol=1e-9),
-    dict(mode=MODE_SUPPORT),
-    dict(normalization=FRITZ_JOHN),
+    dict(tol=np.nextafter(1e-8, 1.0)),
+    dict(x=np.array([0.5, 0.0], dtype=np.float32)),
     dict(x=np.array([np.nextafter(0.5, 1.0), 0.0])),
     dict(x=np.array([0.5, -0.0])),
 ])
 def test_any_change_of_an_argument_is_a_miss(change):
     P = parse_problem(PAIR)
-    base = dict(x=np.array([0.5, 0.0]), tol=1e-8, mode=MODE_PLAIN, normalization=SUM_LAMBDA_ONE)
-    first = classify_point(P, **base)
-    again = classify_point(P, **{**base, **change})
+    base = dict(x=np.array([0.5, 0.0]), tol=1e-8)
+    first = local_model(P, **base)
+    again = local_model(P, **{**base, **change})
     assert again is not first
-    assert len(classify_point.store) == 2
+    assert len(local_model.store) == 2
 
 
 @pytest.mark.parametrize("change", [dict(grid=6), dict(tol=1e-9)])
@@ -70,21 +69,43 @@ def test_kt_scan_misses_on_grid_and_tolerance(change):
     assert len(find_kt_points.store) == 2
 
 
+def _arrays(v, seen):
+    """Every array reachable from v through tuples and attributes."""
+    if id(v) in seen:
+        return []
+    seen.add(id(v))
+    if isinstance(v, np.ndarray):
+        return [v]
+    if isinstance(v, vopt.problem.ProblemDef):
+        return [v.lower, v.upper]
+    items = v if isinstance(v, tuple) else vars(v).values() if hasattr(v, "__dict__") else ()
+    return [a for item in items for a in _arrays(item, seen)]
+
+
 def test_shared_arrays_are_read_only_and_keep_their_values():
     P = parse_problem(PAIR)
     data, pts = get_grid(P, 5), find_kt_points(P, grid=5)
-    verdict = classify_point(P, [0.5, 0.0])
+    model = local_model(P, [0.5, 0.0])
     cand_pts, _, _ = _polished_min(P, np.array([0.5, 0.5]), None, 5, True)
-    kept = [a.copy() for a in (data.pts, pts[0], verdict.point, verdict.first_order.lam)]
-    for a in (data.pts, pts[0], verdict.point, verdict.first_order.lam, cand_pts[0]):
+    kept = [a.copy() for a in (data.pts, pts[0], model.point, model.Gf)]
+    for a in (data.pts, pts[0], model.point, model.Gf, cand_pts[0]):
         with pytest.raises(ValueError):
             a[0] = 7.0
     again = (get_grid(P, 5).pts, find_kt_points(P, grid=5)[0],
-             classify_point(P, [0.5, 0.0]).point,
-             classify_point(P, [0.5, 0.0]).first_order.lam)
+             local_model(P, [0.5, 0.0]).point, local_model(P, [0.5, 0.0]).Gf)
     for a, b in zip(kept, again):
         np.testing.assert_array_equal(a, b)
     assert not any(np.shares_memory(p, data.pts) for p in cand_pts)  # copies, not grid views
+
+
+def test_members_a_shared_model_fills_in_later_are_read_only():
+    P = parse_problem(PAIR)
+    model = local_model(P, [0.5, 0.0])
+    assert classify_point(P, [0.5, 0.0]).directions_tested > 0
+    filled = {"rays", "critical_directions", "critical_seconds"}
+    assert filled <= set(vars(model))  # the classification filled them in
+    assert all(_arrays(getattr(model, k), {id(model)}) for k in filled)
+    assert not any(a.flags.writeable for a in _arrays(model, set()))
 
 
 def test_one_field_is_one_polish_entry():
@@ -139,7 +160,7 @@ def test_stores_stay_within_their_bounds_over_many_problems():
     visit()
     assert len(made) >= 1000
     assert len(_grid.store) == vopt.memo.GRIDS
-    assert len(find_kt_points.store) == len(classify_point.store) == vopt.memo.RESULTS
+    assert len(find_kt_points.store) == len(local_model.store) == vopt.memo.RESULTS
 
 
 PAPER = [["reproduce-example", i] for i in ("4.1", "5.1", "5.2")] + [
