@@ -6,7 +6,7 @@ direct LP encoding, solved by HiGHS rather than vopt's simplex, that the
 opposite system really is infeasible.  Any violation is printed with the
 offending seed; the run fails loudly.
 
-    python3 scripts/alternative_stress.py [--count 1000] [--seed 0] [--max-dim 6]
+    python3 scripts/alternative_stress.py [--count 1000] [--seed 0] [--max-dim 8]
 """
 
 import argparse
@@ -27,7 +27,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-dim", type=int, default=6)
+    ap.add_argument("--max-dim", type=int, default=8)
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)

@@ -7,10 +7,10 @@ settles which of two mutually exclusive linear systems is solvable
   strict system      A'x + C'u < 0 (column-wise), B'x + D'u <= 0, u >= 0
   multiplier system  A y + B z = 0, C y + D z >= 0, y >= 0 nonzero, z >= 0
 
-and returns a certificate that re-verifies by direct substitution.  The
-strict side is decided by maximizing a shared margin, and its witness is
-scaled to max |(x, u)| = 1; the multiplier side by a normalized feasibility
-solve.
+and returns a certificate that re-verifies by direct substitution.  One LP
+decides both sides: the strict side by maximizing a shared margin, its
+witness scaled to max |(x, u)| = 1; the multiplier side read off the same
+LP's row duals, scaled to sum y = 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ MARGIN = 1e-9  # strict rows are accepted only beyond this
 
 
 class NumericalBreakdown(Exception):
-    """No acceptable pivot: every candidate magnitude fell below PIVOT_TOL."""
+    """Rounding defeated a step that exact arithmetic settles: a simplex pivot
+    below PIVOT_TOL, a margin-LP dual with no mass, or a witness (here, in
+    ktcheck or in invexity) that fails its re-verification."""
 
 
 @dataclass
@@ -216,7 +218,7 @@ class StrictWitness:
 
 @dataclass(frozen=True)
 class MultiplierWitness:
-    """Solves the multiplier system: A y + B z = 0 with y normalized."""
+    """Solves the multiplier system: A y + B z = 0 with sum y = 1."""
 
     y: np.ndarray
     z: np.ndarray
@@ -264,53 +266,29 @@ def decide_alternative(A, B=None, C=None, D=None) -> StrictWitness | MultiplierW
         return StrictWitness(x=np.zeros(s), u=np.zeros(p))  # no strict rows to satisfy
 
     # margin LP over (x, u, v): max v s.t. per A-column  A_i·x + C_i·u + v <= 0,
-    # per B-column  B_j·x + D_j·u <= 0,  u >= 0, v <= 1 (cap keeps it bounded)
-    nvar = s + p + 1
-    rows, senses, rhs = [], [], []
-    for i in range(q):
-        rows.append(np.concatenate([A[:, i], C[:, i], [1.0]]))
-        senses.append("<=")
-        rhs.append(0.0)
-    for j in range(r):
-        rows.append(np.concatenate([B[:, j], D[:, j], [0.0]]))
-        senses.append("<=")
-        rhs.append(0.0)
-    cap = np.zeros(nvar)
-    cap[-1] = 1.0
-    rows.append(cap)
-    senses.append("<=")
-    rhs.append(1.0)
-    c = np.zeros(nvar)
+    # per B-column  B_j·x + D_j·u <= 0,  u >= 0, v <= 1 (cap keeps it bounded).
+    # Its dual is  min t  s.t.  A y + B z = 0, C y + D z >= 0, sum y + t = 1,
+    # y, z, t >= 0, so one solve answers both sides: the LP is homogeneous
+    # apart from the cap, v* is 0 or 1, and at v* = 0 the row duals on the
+    # A- and B-columns solve the multiplier system with sum y = 1.
+    c = np.zeros(s + p + 1)
     c[-1] = 1.0
-    out = solve_lp(
-        LpProblem(c, np.array(rows), senses, np.array(rhs),
-                  free=tuple(range(s)) + (nvar - 1,), maximize=True)
-    )
-    if out.status == "optimal" and out.objective is not None and out.objective > MARGIN:
+    rows = np.block([[A.T, C.T, np.ones((q, 1))], [B.T, D.T, np.zeros((r, 1))], [c]])
+    out = solve_lp(LpProblem(c, rows, ["<="] * (q + r + 1), np.append(np.zeros(q + r), 1.0),
+                             free=tuple(range(s)) + (s + p,), maximize=True))
+    if out.status == "optimal" and out.objective > MARGIN:
         xu = out.x[: s + p] / np.abs(out.x[: s + p]).max()  # homogeneous: scale to max 1
         w = StrictWitness(x=xu[:s], u=xu[s:])
         if not verify_certificate(w, A, B, C, D):
             raise NumericalBreakdown("strict witness failed re-verification")
         return w
 
-    # multiplier side: feasibility of A y + B z = 0, C y + D z >= 0, sum y = 1
-    nyz = q + r
-    rows2 = [np.concatenate([A[i], B[i]]) for i in range(s)]
-    senses2 = ["="] * s
-    rhs2 = [0.0] * s
-    for k in range(p):
-        rows2.append(np.concatenate([C[k], D[k]]))
-        senses2.append(">=")
-        rhs2.append(0.0)
-    rows2.append(np.concatenate([np.ones(q), np.zeros(r)]))
-    senses2.append("=")
-    rhs2.append(1.0)
-    out2 = solve_lp(
-        LpProblem(np.zeros(nyz), np.array(rows2), senses2, np.array(rhs2))
-    )
-    if out2.status != "optimal":
-        raise NumericalBreakdown("neither alternative system was decidable")
-    w2 = MultiplierWitness(y=out2.x[:q].copy(), z=out2.x[q:].copy())
+    yz = np.zeros(q + r) if out.y is None else np.maximum(out.y[: q + r], 0.0)
+    mass = float(yz[:q].sum())
+    if mass <= 0.5:  # strong duality rules this out: sum y = 1 - v* >= 1 - MARGIN
+        raise NumericalBreakdown("the margin LP's dual has no mass on the strict rows")
+    yz /= mass
+    w2 = MultiplierWitness(y=yz[:q], z=yz[q:])
     if not verify_certificate(w2, A, B, C, D):
         raise NumericalBreakdown("multiplier witness failed re-verification")
     return w2
@@ -336,7 +314,7 @@ def verify_certificate(cert, A, B=None, C=None, D=None) -> bool:
             bool(np.abs(resid).max(initial=0.0) <= FEAS_TOL)
             and bool((cd >= -FEAS_TOL).all())
             and bool((y >= -FEAS_TOL).all())
-            and float(y.sum()) > 0.5  # normalized, hence nonzero
+            and abs(float(y.sum()) - 1.0) <= FEAS_TOL  # normalized, hence nonzero
             and bool((z >= -FEAS_TOL).all())
         )
     raise TypeError(f"not a certificate: {cert!r}")

@@ -4,10 +4,11 @@ A call is keyed by its arguments: a problem by its parsed content (a
 `ProblemDef` hashes and compares by variable names, box bytes and expression
 trees; never its source text, so comments do not matter), every other
 argument by its exact bits: -0.0 is not 0.0, nor is a point one ulp away the
-same point.  Shared values are frozen (arrays read-only; a list, dict or set
-in one is an error; the call's own arguments are left alone), and so are the
-`shared` members a value fills in later.  Each function keeps its `size` most
-recently used entries.  Nothing is computed at import.
+same point, and a list of floats is the float64 array of its bits.  Shared
+values are frozen (arrays read-only; a list, dict or set in one is an error;
+the call's own arguments are left alone), and so are the `shared` members a
+value fills in later.  Each function keeps its `size` most recently used
+entries.  Nothing is computed at import.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ _stores: list[OrderedDict] = []
 
 
 def _key(v):
+    if isinstance(v, list) and all(isinstance(item, float) for item in v):
+        v = np.array(v)  # a point given as a list shares the equal array's entry
     if isinstance(v, np.ndarray):
         return (np.ndarray, v.dtype.str, v.shape, v.tobytes())
     if isinstance(v, (tuple, list)):

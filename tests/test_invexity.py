@@ -28,8 +28,8 @@ from vopt.invexity import (
     pointwise_eta_feasibility,
     pointwise_survey,
 )
-from vopt.linprog import MultiplierWitness
-from vopt.problem import load_problem, parse_problem
+from vopt.linprog import MultiplierWitness, decide_alternative, verify_certificate
+from vopt.problem import load_problem, local_model, parse_problem
 from vopt.scalarize import lagrangian
 
 FIX = Path(vopt.__file__).parent / "fixtures"
@@ -183,8 +183,8 @@ def test_pointwise_refutation(exA):
 
 def test_kt_pair_refutes_system_2_where_the_exact_decision_broke_down():
     # highdim seed 5 problem 11: no active constraint, and grad f2 is nearly
-    # antiparallel to grad f1; the exact alternative decision raised
-    # "neither alternative system was decidable" on this pair
+    # antiparallel to grad f1; a feasibility LP solved apart from the margin
+    # LP found no multipliers on this pair, while the margin LP's duals do
     P = parse_problem(HIGHDIM_5_11)
     base = [float.fromhex(h) for h in ("0x1.878eca7953a70p-1", "-0x1.7cc93b7efb3b5p-1",
                                        "-0x1.cff9c60cf3e36p-1", "-0x1.a23902cc924dep-2")]
@@ -195,6 +195,9 @@ def test_kt_pair_refutes_system_2_where_the_exact_decision_broke_down():
     y, z = r.certificate.y, r.certificate.z
     assert (y >= 0).all() and y.sum() == pytest.approx(1.0) and z.size == 0
     assert np.linalg.norm(y @ np.array([grad(f, base) for f in P.objectives])) <= 1e-7
+    m = local_model(P, base)
+    cert = decide_alternative(m.Gf.T, m.Gg.T)
+    assert isinstance(cert, MultiplierWitness) and verify_certificate(cert, m.Gf.T, m.Gg.T)
 
 
 def test_pointwise_bad_order(exA):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import vopt.linprog
 from vopt.linprog import (
     LpProblem,
     MultiplierWitness,
@@ -147,6 +148,7 @@ def test_opposed_columns_force_multipliers():
     cert = decide_alternative(A)
     assert isinstance(cert, MultiplierWitness)
     assert verify_certificate(cert, A)
+    assert not verify_certificate(MultiplierWitness(y=0.6 * cert.y, z=cert.z), A)  # sum y = 0.6
 
 
 def test_u_block_changes_answer():
@@ -179,6 +181,25 @@ def test_exclusivity_sample():
         s8 = multiplier_system_solvable(A, B, C, D)
         assert s7 != s8, "exactly one system must be solvable"
         assert isinstance(cert, StrictWitness) == s7
+        if isinstance(cert, MultiplierWitness):
+            assert abs(cert.y.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("A, side", [
+    (np.array([[2.0], [0.0]]), StrictWitness),
+    (np.array([[1.0, -1.0], [2.0, -2.0]]), MultiplierWitness),
+])
+def test_one_lp_decides_either_side(monkeypatch, A, side):
+    # the multiplier certificate is the margin LP's row duals: no second solve
+    lps, solve = [], vopt.linprog.solve_lp
+
+    def counted_solve(p):
+        lps.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(vopt.linprog, "solve_lp", counted_solve)
+    assert isinstance(decide_alternative(A), side)
+    assert len(lps) == 1
 
 
 def test_random_lp_duality_gap():

@@ -32,7 +32,7 @@ def test_files_that_differ_only_in_comments_share_entries(tmp_path):
     P, Q = load_problem(tmp_path / "plain.vopt"), load_problem(tmp_path / "commented.vopt")
     assert P.source != Q.source
     assert get_grid(P, 5) is get_grid(Q, 5)
-    assert local_model(P, [0.5, 0.0]) is local_model(Q, [0.5, 0.0])
+    assert local_model(P, [0.5, 0.0]) is local_model(Q, np.array([0.5, 0.0]))
     assert solve_weighting(P, [0.5, 0.5], grid=5).value == solve_weighting(Q, [0.5, 0.5], 5).value
     assert [len(fn.store) for fn in MEMOISED] == [1, 0, 1, 1]
     assert find_kt_points(P, grid=5) is find_kt_points(Q, grid=5)
