@@ -190,27 +190,23 @@ def _cmd_analyze(args):
     P, digest = _load(args.problem)
     x = _floats(args.point, P.dim, "--point", finite=True)
     verdict = classify_point(P, x, tol=args.tol)
-    relation = None
-    if verdict.first_order is not None:
-        rel = relation_chain(
-            P, verdict.first_order.lam, verdict.first_order.mu, x, grid=args.grid, tol=args.tol
-        )
-        relation = _fields(rel, "in_scalarized_argmin in_weighting_argmin weak_pareto kt"
-                                " domination_witness anomalies grid")
+    fo = verdict.first_order
+    lam, mu = (fo.lam, fo.mu) if fo is not None else (None, None)
+    rel = relation_chain(P, lam, mu, x, grid=args.grid, tol=args.tol)
+    relation = _fields(rel, "in_scalarized_argmin in_weighting_argmin weak_pareto kt"
+                            " domination_witness anomalies grid")
     payload = {"classification": _classification_dict(verdict), "relation": relation}
     lines = [f"{_fmt_point(x)}: level={verdict.level}"]
-    if verdict.first_order is not None:
-        fo = verdict.first_order
+    if fo is not None:
         lines.append(
             f"  multipliers lam={_fmt_point(fo.lam)} mu={_fmt_point(fo.mu)}"
             f" residual={fo.residual:.3g}"
         )
-    if relation is not None:
-        lines.append(
-            f"  weak_pareto={relation['weak_pareto']}"
-            f" in_weighting_argmin={relation['in_weighting_argmin']}"
-            f" anomalies={len(relation['anomalies'])}"
-        )
+    lines.append(
+        f"  weak_pareto={rel.weak_pareto}"
+        f" in_weighting_argmin={rel.in_weighting_argmin}"
+        f" anomalies={len(rel.anomalies)}"
+    )
     return payload, lines, digest
 
 

@@ -4,9 +4,10 @@ Each class is equivalent to a property of the problem's Kuhn-Tucker points:
 saddle of the scalarized Lagrangian, weak or plain Pareto minimality, or
 optimality for the weighting problem with the same weight vector.  The
 second-order classes quantify over second-order KT points only.  We test the
-characterization side on a finite scan, so a verdict is either Falsified with
-a witness that re-verifies from raw evaluations, or ConsistentAtResolution,
-never "proved".
+characterization side on a finite scan with `scalarize`'s one search per
+question, at every scan KT point and multiplier candidate, so a verdict is
+either Falsified with the first rival found, re-evaluated from raw
+evaluations, or ConsistentAtResolution, never "proved".
 
 `pointwise_eta_feasibility` decides the defining disjunction itself for one
 pair of points, independent of the characterization path.
@@ -30,7 +31,8 @@ from .linprog import (
     solve_lp,
 )
 from .problem import DEFAULT_TOL, DirectionAnalysis, ProblemDef, feasible_at, local_model
-from .scalarize import NoFeasiblePointInBox, check_saddle, lagrangian, solve_weighting
+from .scalarize import (NoFeasiblePointInBox, Witness, dominating_rival, saddle_rival,
+                        weighting_rival)
 
 KTSP_INVEX = "KTSPInvex"
 SECOND_ORDER_KTSP_INVEX = "SecondOrderKTSPInvex"
@@ -73,9 +75,6 @@ CONSISTENT_AT_RESOLUTION = "ConsistentAtResolution"
 ORDER_FIRST = "First"
 ORDER_SECOND = "Second"
 
-WITNESS_GAP = 1e-9  # a falsifying margin must clear this, relatively scaled
-REFUTE_MARGIN = 1e-5  # Lagrangian-comparison witnesses need this much: multiplier
-# residuals and boundary slack near 1e-8 fake gaps of ~1e-6 across a unit box
 RANDOM_PAIRS = 64
 
 
@@ -86,22 +85,6 @@ class Resolution:
     grid: int
     stationary_points: int
     pair_samples: int  # characterization probes run before the verdict
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Falsification data.  `rival` beats `point` by `gap`: in Lagrangian
-    value for the saddle classes, in every (some, for PseudoinvexII)
-    objective for the Pareto classes, in weighted objective value for the
-    KT-invex classes.  lam/mu are the KT multipliers making `point` count."""
-
-    point: np.ndarray
-    lam: np.ndarray | None
-    mu: np.ndarray | None
-    rival: np.ndarray
-    point_values: tuple[float, ...]
-    rival_values: tuple[float, ...]
-    gap: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +135,6 @@ class InclusionReport:
         return self.verdicts[INVEXITY_CLASSES.index(klass)]
 
 
-def _values(exprs, x) -> np.ndarray:
-    return np.array([evaluate(e, x) for e in exprs])
-
-
 class _Scan:
     """One resolution's inputs to the eight class checks: the grid and the
     stationary points.  The per-point models (`local_model`) and the saddle
@@ -200,101 +179,23 @@ def _candidate_triples(P: ProblemDef, x, tol, second: bool = False):
     return tuple(kept)
 
 
-def _saddle_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
-    probes = 0
-    for lam, mu in _candidate_triples(scan.P, x, scan.tol, second):
-        probes += 1
-        v = check_saddle(scan.P, lam, x, mu, grid=scan.data.grid, tol=scan.tol)
-        if v.is_saddle or v.counterexample is None:
-            continue
-        rival = np.asarray(v.counterexample, dtype=float)
-        lx = lagrangian(scan.P, lam, mu, x)
-        lr = lagrangian(scan.P, lam, mu, rival)
-        gap = lx - lr
-        margin = max(REFUTE_MARGIN, 1e3 * scan.tol) * (1.0 + abs(lx))
-        if gap > margin and scan.P.in_box(rival, slack=1e-9):
-            return (
-                Witness(
-                    point=x, lam=lam, mu=mu, rival=rival,
-                    point_values=(lx,), rival_values=(lr,), gap=gap,
-                ),
-                probes,
-            )
-    return None, probes
-
-
-def _domination_witness(scan: _Scan, x, strict_all: bool) -> Witness | None:
-    """Feasible grid point beating x: in every objective (weak Pareto
-    violation) or componentwise-<= with one strict (Pareto violation).
-    Among qualifying points the nearest one is preferred, so witnesses
-    stay local and readable."""
-    P, data = scan.P, scan.data
-    xa = np.asarray(x, dtype=float)
-    fx = _values(P.objectives, xa)
-    margin = WITNESS_GAP * (1.0 + np.abs(fx))
-    below = data.F < (fx - margin)[:, None]
-    if strict_all:
-        ok = data.feasible & np.all(below, axis=0)
-    else:
-        ok = data.feasible & np.all(data.F <= fx[:, None], axis=0) & np.any(below, axis=0)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        dist = ((data.pts[:, idx] - xa[:, None]) ** 2).sum(axis=0)
-        idx = idx[np.argsort(dist, kind="stable")]
-    for i in idx:
-        rival = data.pts[:, i].copy()
-        fr = _values(P.objectives, rival)
-        if not feasible_at(P, rival, scan.tol):
-            continue
-        fine = (fr < fx - margin).all() if strict_all else (
-            (fr <= fx).all() and (fr < fx - margin).any()
-        )
-        if fine:
-            gap = float((fx - fr).min()) if strict_all else float((fx - fr).max())
-            return Witness(
-                point=x, lam=None, mu=None, rival=rival,
-                point_values=tuple(fx), rival_values=tuple(fr), gap=gap,
-            )
-    return None
-
-
-def _weighting_witness(scan: _Scan, x, second: bool) -> tuple[Witness | None, int]:
-    probes = 0
-    fx = _values(scan.P.objectives, x)
-    for lam, mu in _candidate_triples(scan.P, x, scan.tol, second):
-        probes += 1
-        ms = solve_weighting(scan.P, lam, grid=scan.data.grid)
-        mine = float(lam @ fx)
-        rival = ms.minimizers[0].point
-        rv = float(lam @ _values(scan.P.objectives, rival))
-        gap = mine - rv
-        margin = max(REFUTE_MARGIN, 1e3 * scan.tol) * (1.0 + abs(mine))
-        if gap > margin and feasible_at(scan.P, rival, scan.tol):
-            return (
-                Witness(
-                    point=x, lam=lam, mu=mu, rival=np.asarray(rival, dtype=float),
-                    point_values=(mine,), rival_values=(rv,), gap=gap,
-                ),
-                probes,
-            )
-    return None, probes
+_SEARCH = {KTSP_INVEX: saddle_rival, SECOND_ORDER_KTSP_INVEX: saddle_rival,
+           KT_INVEX: weighting_rival, SECOND_ORDER_KT_INVEX: weighting_rival}
 
 
 def _verdict(scan: _Scan, klass: str) -> ClassVerdict:
-    second = klass in _SECOND_ORDER
-    witness = None
-    probes = 0
-    for x in scan.candidate_points(second):
-        if klass in (KTSP_INVEX, SECOND_ORDER_KTSP_INVEX):
-            witness, used = _saddle_witness(scan, x, second)
-            probes += used
-        elif klass in (KT_INVEX, SECOND_ORDER_KT_INVEX):
-            witness, used = _weighting_witness(scan, x, second)
-            probes += used
-        else:
-            strict_all = klass in (KT_PSEUDOINVEX_I, SECOND_ORDER_KT_PSEUDOINVEX_I)
-            witness = _domination_witness(scan, x, strict_all)
-            probes += 1
+    """The first rival over the candidate points and their multiplier
+    pairs; a Pareto class asks its multiplier-free question once per point."""
+    P, second, grid, tol = scan.P, klass in _SECOND_ORDER, scan.data.grid, scan.tol
+    search = _SEARCH.get(klass)
+    strict_all = klass in (KT_PSEUDOINVEX_I, SECOND_ORDER_KT_PSEUDOINVEX_I)
+    probes = ((x, lam, mu) for x in scan.candidate_points(second)
+              for lam, mu in (_candidate_triples(P, x, tol, second) if search else [(None, None)]))
+    witness, used = None, 0
+    for x, lam, mu in probes:
+        used += 1
+        witness = (search(P, lam, mu, x, grid, tol) if search
+                   else dominating_rival(P, x, grid, tol, strict_all))
         if witness is not None:
             break
     return ClassVerdict(
@@ -304,7 +205,7 @@ def _verdict(scan: _Scan, klass: str) -> ClassVerdict:
         resolution=Resolution(
             grid=scan.data.grid,
             stationary_points=len(scan.points),
-            pair_samples=probes,
+            pair_samples=used,
         ),
     )
 
@@ -380,8 +281,8 @@ def pointwise_eta_feasibility(
     else:
         raise ValueError(f"unknown order {order!r}")
 
-    fx, fy = _values(P.objectives, x), _values(P.objectives, y)
-    gy = _values(P.constraints, y)
+    fx, fy = (np.array([evaluate(f, z) for f in P.objectives]) for z in (x, y))
+    gy = np.array([evaluate(g, y) for g in P.constraints])
 
     rows = np.column_stack([np.vstack([fg, gg]), np.concatenate([f2, g2])])
     rhs = np.concatenate([fy - fx, gy[act]])

@@ -1,6 +1,11 @@
 """Scalarized views of a multiobjective problem: the weighted Lagrangian,
-saddle-point verification, the weighting and unconstrained solvers, and the
-membership chain argmin L -> argmin weighting -> weak Pareto -> KT.
+the weighting and unconstrained solvers, and one search per global question
+about a KT point, each returning its rival as a `Witness` or None:
+`saddle_rival` (through `check_saddle`), `weighting_rival` and
+`dominating_rival`.  `relation_chain` and `invexity`'s class checks both read
+them, so each comparison has one rule: the Lagrangian margin
+max(REFUTE_MARGIN, 1e3·tol)·(1 + |v|) for the saddle and weighting values,
+WITNESS_GAP·(1 + |f_i|) per objective for domination.
 
 Global statements here are box-and-grid scoped: a "no counterexample" or
 "minimizer" claim certifies the evaluated grid plus polished descent paths,
@@ -28,18 +33,24 @@ __all__ = [
     "Minimizer",
     "MinimizerSet",
     "RelationReport",
+    "Witness",
     "check_weights",
     "lagrangian",
     "check_saddle",
     "solve_weighting",
     "solve_unconstrained",
+    "saddle_rival",
+    "weighting_rival",
+    "dominating_rival",
     "relation_chain",
 ]
 
-COUNTEREXAMPLE_GAP = 1e-9
 MERGE_RADIUS = 1e-4
 VALUE_WINDOW = 1e-6
 POLISH_SEEDS = 16
+WITNESS_GAP = 1e-9  # a dominating rival must clear this in each objective, relatively scaled
+REFUTE_MARGIN = 1e-5  # Lagrangian-comparison rivals need this much: multiplier
+# residuals and boundary slack near 1e-8 fake gaps of ~1e-6 across a unit box
 
 
 class BadWeights(Exception):
@@ -81,10 +92,26 @@ class MinimizerSet:
 
 
 @dataclass(frozen=True, eq=False)
+class Witness:
+    """A rival that beats `point` by `gap`: in Lagrangian value for the
+    saddle question, in weighted objective value for the weighting
+    question, in every (some, without `strict_all`) objective for
+    domination.  lam/mu are the KT multipliers making `point` count."""
+
+    point: np.ndarray
+    lam: np.ndarray | None
+    mu: np.ndarray | None
+    rival: np.ndarray
+    point_values: tuple[float, ...]
+    rival_values: tuple[float, ...]
+    gap: float
+
+
+@dataclass(frozen=True, eq=False)
 class RelationReport:
     point: np.ndarray
-    in_scalarized_argmin: bool  # argmin of L(., mu) with <mu, g(x)> = 0
-    in_weighting_argmin: bool
+    in_scalarized_argmin: bool | None  # saddle of L(., lam, mu); None without a KT pair
+    in_weighting_argmin: bool | None
     weak_pareto: bool
     kt: bool
     domination_witness: np.ndarray | None  # feasible y with f(y) < f(x) when not weak Pareto
@@ -230,12 +257,23 @@ def _minimizer_set(pts, vals, grid: int) -> MinimizerSet:
     return MinimizerSet(tuple(Minimizer(point=p, value=v) for p, v in reps), value=best, grid=grid)
 
 
+def _objectives(P: ProblemDef, x) -> np.ndarray:
+    return np.array([evaluate(f, x) for f in P.objectives])
+
+
+def _margin(v: float, tol: float) -> float:
+    """How far a rival's Lagrangian or weighted value must fall below v."""
+    return max(REFUTE_MARGIN, 1e3 * tol) * (1.0 + abs(v))
+
+
 def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
                  tol: float = DEFAULT_TOL) -> SaddleVerdict:
     """Decide L(xbar, mu) <= L(xbar, mubar) <= L(x, mubar) over mu >= 0 and
     box x.  The left side is closed-form: the sup over mu >= 0 of
     <mu, g(xbar)> is attained at mubar iff g(xbar) <= 0 and the pairing is
-    zero.  The right side is attacked by grid scan plus descent."""
+    zero.  The right side is attacked by grid scan plus descent; the best
+    point found is a counterexample only if it beats L(xbar, mubar) by more
+    than the Lagrangian margin."""
     lam, mubar = check_weights(P, lam, mubar)
     xbar = np.asarray(xbar, dtype=float)
     if not P.in_box(xbar, slack=1e-12):
@@ -250,7 +288,7 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     Lbar = lagrangian(P, lam, mubar, xbar)
     pts, vals, g = _polish(P, lam, mubar, grid, feasible_only=False)
     k = int(np.argmin(vals))
-    found = float(vals[k]) < Lbar - COUNTEREXAMPLE_GAP
+    found = Lbar - float(vals[k]) > _margin(Lbar, tol)
     return SaddleVerdict(
         left_ok=left_ok,
         right_status="Counterexample" if found else "NoCounterexampleFound",
@@ -260,41 +298,80 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     )
 
 
-def relation_chain(
-    P: ProblemDef, lam, mu, xbar, grid: int | None = None, tol: float = DEFAULT_TOL
-) -> RelationReport:
-    """Membership of xbar in argmin L(., mu), argmin of the weighting
-    problem, the weak Pareto set (grid brute force), and the KT set; any
-    violated forward implication among those is flagged as an anomaly."""
-    lam, mu = check_weights(P, lam, mu)
-    xbar = np.asarray(xbar, dtype=float)
-    m = local_model(P, xbar, tol)  # raises InfeasiblePoint
-    act = m.active
+def saddle_rival(P: ProblemDef, lam, mu, x, grid: int | None = None,
+                 tol: float = DEFAULT_TOL) -> Witness | None:
+    """`check_saddle`'s counterexample, its Lagrangian values re-evaluated."""
+    v = check_saddle(P, lam, x, mu, grid=grid, tol=tol)
+    if v.counterexample is None:
+        return None
+    rival = np.asarray(v.counterexample, dtype=float)
+    lx, lr = lagrangian(P, lam, mu, x), lagrangian(P, lam, mu, rival)
+    return Witness(point=x, lam=lam, mu=mu, rival=rival,
+                   point_values=(lx,), rival_values=(lr,), gap=lx - lr)
 
+
+def weighting_rival(P: ProblemDef, lam, mu, x, grid: int | None = None,
+                    tol: float = DEFAULT_TOL) -> Witness | None:
+    """The weighting problem's best feasible point, if it beats x's
+    weighted objective by more than the Lagrangian margin.  mu is only
+    carried into the witness."""
+    lam = np.asarray(lam, dtype=float)
+    rival = np.asarray(solve_weighting(P, lam, grid=grid).minimizers[0].point, dtype=float)
+    mine, rv = float(lam @ _objectives(P, x)), float(lam @ _objectives(P, rival))
+    if mine - rv > _margin(mine, tol) and feasible_at(P, rival, tol):
+        return Witness(point=x, lam=lam, mu=mu, rival=rival,
+                       point_values=(mine,), rival_values=(rv,), gap=mine - rv)
+    return None
+
+
+def dominating_rival(P: ProblemDef, x, grid: int | None = None, tol: float = DEFAULT_TOL,
+                     strict_all: bool = True) -> Witness | None:
+    """Feasible grid point beating x: in every objective (weak Pareto
+    violation) or componentwise-<= with one strict (Pareto violation), each
+    strict by more than WITNESS_GAP·(1 + |f_i(x)|).  Among qualifying points
+    the nearest one is preferred, so witnesses stay local and readable; each
+    is re-evaluated before it counts."""
     data = get_grid(P, grid)
+    x = np.asarray(x, dtype=float)
+    fx = _objectives(P, x)
+    margin = WITNESS_GAP * (1.0 + np.abs(fx))
 
-    def win(v: float) -> float:
-        return VALUE_WINDOW * (1.0 + abs(v))
+    def beats(F):  # per column of F, one value per objective down the rows
+        below = F < (fx - margin)[:, None]
+        if strict_all:
+            return below.all(axis=0)
+        return (F <= fx[:, None]).all(axis=0) & below.any(axis=0)
 
-    uncon = solve_unconstrained(P, lam, mu, grid)
-    Lxbar = lagrangian(P, lam, mu, xbar)
-    comp_slack = abs(float(mu @ act.values) if act.values.size else 0.0) <= tol * (
-        1.0 + float(np.abs(act.values).sum() if act.values.size else 0.0)
-    )
-    in_scal = bool(Lxbar <= uncon.value + win(uncon.value)) and comp_slack
+    idx = np.flatnonzero(data.feasible & beats(data.F))
+    dist = ((data.pts[:, idx] - x[:, None]) ** 2).sum(axis=0)
+    for i in idx[np.argsort(dist, kind="stable")]:
+        rival = data.pts[:, i].copy()
+        fr = _objectives(P, rival)
+        if feasible_at(P, rival, tol) and beats(fr[:, None])[0]:
+            gap = float((fx - fr).min()) if strict_all else float((fx - fr).max())
+            return Witness(point=x, lam=None, mu=None, rival=rival,
+                           point_values=tuple(fx), rival_values=tuple(fr), gap=gap)
+    return None
 
-    weight = solve_weighting(P, lam, grid)
-    wxbar = float(sum(lam[i] * evaluate(P.objectives[i], xbar) for i in range(P.n_objectives)))
-    in_weight = bool(wxbar <= weight.value + win(weight.value))
 
-    fx = np.array([evaluate(f, xbar) for f in P.objectives])
-    dominated = data.feasible & (data.F < (fx - COUNTEREXAMPLE_GAP)[:, None]).all(axis=0)
-    witness = None
-    if dominated.any():
-        witness = data.pts[:, int(np.flatnonzero(dominated)[0])]
-    weak_pareto = witness is None
-
-    kt = m.multipliers() is not None
+def relation_chain(P: ProblemDef, lam, mu, xbar, grid: int | None = None,
+                   tol: float = DEFAULT_TOL) -> RelationReport:
+    """Membership of xbar in argmin L(., mu) (a saddle point with
+    complementary slackness), argmin of the weighting problem, the weak
+    Pareto set and the KT set, each read off its one search; any violated
+    forward implication among those is flagged as an anomaly.  Without a
+    KT pair (lam None) the two argmin memberships are None.  Every search
+    is over the box, so xbar must lie in it."""
+    xbar = np.asarray(xbar, dtype=float)
+    kt = local_model(P, xbar, tol).multipliers() is not None  # raises InfeasiblePoint
+    if not P.in_box(xbar, slack=1e-12):
+        raise PointOutsideBox(f"point {xbar.tolist()} lies outside the box")
+    in_scal = in_weight = None
+    if lam is not None:
+        in_scal = check_saddle(P, lam, xbar, mu, grid, tol).is_saddle
+        in_weight = weighting_rival(P, lam, mu, xbar, grid, tol) is None
+    rival = dominating_rival(P, xbar, grid, tol)
+    weak_pareto = rival is None
 
     anomalies = []
     if in_scal and not in_weight:
@@ -309,7 +386,7 @@ def relation_chain(
         in_weighting_argmin=in_weight,
         weak_pareto=weak_pareto,
         kt=kt,
-        domination_witness=witness,
+        domination_witness=None if rival is None else rival.rival,
         anomalies=tuple(anomalies),
-        grid=data.grid,
+        grid=grid_size(P, grid),
     )

@@ -12,6 +12,7 @@ import vopt.gridsearch
 from vopt.cli import build_parser, main, run_for_report
 
 QUAD = "var x1 in [-1, 1]\nmin x1^2\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -47,6 +48,34 @@ def test_analyze_exit_codes(capsys):
     assert main(["analyze", "exA.vopt", "--point", "0,0"]) == 0
     assert "FirstOrderOnly" in capsys.readouterr().out
     assert main(["analyze", "exA.vopt", "--point", "2,2"]) == 2
+
+
+def _relation_and_pseudoinvex_i(path, point):
+    rel = run_for_report(["analyze", str(path), "--point", point])["payload"]["relation"]
+    verdict = run_for_report(["classify", str(path), "--class", "kt-pseudoinvex-i"])["payload"]
+    return rel, verdict["verdict"]["status"]
+
+
+def test_analyze_and_classify_answer_weak_pareto_alike(tmp_path):
+    # f(-1) undercuts f(0) by 1e-7: inside 1e-9*(1 + |f|) at f = 1000, outside it at f = 0
+    rel, status = _relation_and_pseudoinvex_i(DATA / "shifted_cubic.vopt", "0")
+    assert rel["weak_pareto"] and rel["domination_witness"] is None
+    assert rel["anomalies"] == []
+    assert status == "ConsistentAtResolution"
+    plain = tmp_path / "cubic.vopt"
+    plain.write_text((DATA / "shifted_cubic.vopt").read_text().replace("1000 + ", ""))
+    rel, status = _relation_and_pseudoinvex_i(plain, "0")
+    assert not rel["weak_pareto"] and rel["domination_witness"] is not None
+    assert status == "Falsified"
+
+
+def test_analyze_relates_a_point_without_kt_multipliers():
+    pay = run_for_report(["analyze", str(DATA / "fritz_john_cusp.vopt"), "--point", "0,0"])["payload"]
+    assert pay["classification"]["level"] == "NotStationary"
+    rel = pay["relation"]
+    assert rel["weak_pareto"] and not rel["kt"] and rel["domination_witness"] is None
+    assert rel["in_scalarized_argmin"] is None and rel["in_weighting_argmin"] is None
+    assert rel["anomalies"] == ["WeakParetoNotKT"]
 
 
 def test_usage_errors(capsys):
@@ -116,6 +145,14 @@ def test_non_finite_point_exits_1(argv, capsys):
 
 def test_saddle_point_outside_the_box_exits_2(capsys):
     assert main(["saddle", "exB.vopt", "--point", "5,0", "--lambda", "0.5,0.5"]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["min (x-2)^2\nmin (x-2)^2\n", "min x\nmin x\n"])
+def test_analyze_point_outside_the_box_exits_2(tmp_path, capsys, text):
+    f = tmp_path / "out.vopt"
+    f.write_text("var x in [-1, 1]\n" + text)  # x = 2 is a KT point of the first, not the second
+    assert main(["analyze", str(f), "--point", "2"]) == 2
     _one_line_error(capsys)
 
 

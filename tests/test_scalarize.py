@@ -12,7 +12,7 @@ import vopt.scalarize
 from pathlib import Path
 
 from vopt.cli import main
-from vopt.gridsearch import descend
+from vopt.gridsearch import descend, get_grid
 from vopt.problem import InfeasiblePoint, load_problem, parse_problem
 from vopt.scalarize import (
     POLISH_SEEDS,
@@ -20,6 +20,7 @@ from vopt.scalarize import (
     BadWeights,
     NoFeasiblePointInBox,
     check_saddle,
+    dominating_rival,
     lagrangian,
     relation_chain,
     solve_unconstrained,
@@ -113,6 +114,16 @@ def test_saddle_holds_at_boundary_minimizer(exA):
 def test_saddle_left_fails_without_complementarity(exA):
     v = check_saddle(exA, [0.5, 0.5], [0.0, 0.0], [1.0])
     assert not v.left_ok
+
+
+def test_saddle_counterexample_must_clear_the_lagrangian_margin():
+    # L(-1) undercuts L(0) by 1e-7, under the margin 1e-5*(1 + |L|)
+    P = parse_problem("var x in [-1, 1]\nmin 1e-7*x^3\nmin 1e-7*x^3\n")
+    v = check_saddle(P, [1.0, 0.0], [0.0], ())
+    assert v.is_saddle and v.counterexample is None and v.gap is None
+    steep = parse_problem("var x in [-1, 1]\nmin 1e-4*x^3\nmin 1e-4*x^3\n")
+    v = check_saddle(steep, [1.0, 0.0], [0.0], ())
+    assert v.right_status == "Counterexample" and v.gap == pytest.approx(1e-4)
 
 
 def test_saddle_rejects_point_outside_box(exA):
@@ -234,6 +245,24 @@ def test_chain_kt_but_not_weak_pareto_at_origin(exA):
     assert not r.in_weighting_argmin
     assert not r.in_scalarized_argmin
     assert r.anomalies == ()
+
+
+def test_chain_reads_the_nearest_dominating_rival(exC):
+    x = np.array([1.0, -1.0])
+    r = relation_chain(exC, [0.5, 0.5], [0.0], x)
+    w = dominating_rival(exC, x)
+    assert not r.weak_pareto and np.array_equal(r.domination_witness, w.rival)
+    assert all(b < a for a, b in zip(w.point_values, w.rival_values))
+    data = get_grid(exC)
+    beats = data.feasible & (data.F < (np.array(w.point_values) - 1e-6)[:, None]).all(axis=0)
+    nearest = np.linalg.norm(data.pts[:, beats] - x[:, None], axis=0).min()
+    assert np.linalg.norm(w.rival - x) <= nearest + 1e-12
+
+
+def test_chain_without_kt_pair_leaves_the_argmin_memberships_open(exA):
+    r = relation_chain(exA, None, None, [1.0, 0.0])
+    assert r.in_scalarized_argmin is None and r.in_weighting_argmin is None
+    assert r.weak_pareto and r.kt and r.anomalies == ()
 
 
 def test_chain_rejects_infeasible(exA):
