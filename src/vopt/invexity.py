@@ -22,14 +22,7 @@ import numpy as np
 from .expr import evaluate
 from .gridsearch import find_kt_points, get_grid
 from .ktcheck import SECOND_ORDER_KT, NotCritical, classify_point
-from .linprog import (
-    LpProblem,
-    MultiplierWitness,
-    NumericalBreakdown,
-    StrictWitness,
-    decide_alternative,
-    solve_lp,
-)
+from .linprog import MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative
 from .problem import DEFAULT_TOL, DirectionAnalysis, ProblemDef, feasible_at, local_model
 from .scalarize import (NoFeasiblePointInBox, Witness, dominating_rival, saddle_rival,
                         weighting_rival)
@@ -260,7 +253,11 @@ def pointwise_eta_feasibility(
     grad f_i(x).eta + omega f_i''(x; d) <= f_i(y) - f_i(x) for every i and
     grad g_j(x).eta + omega g_j''(x; d) <= g_j(y) on the active set at x;
     system 2 for strict descent in every objective with no active
-    constraint increasing.  The first solvable system wins; when both are refuted the
+    constraint increasing.  System 1 is decided as the homogenised
+    alternative: tau > 0 with every row times tau on the left of its
+    right-hand side, so `decide_alternative` returns either eta and omega
+    (divided by tau, then re-verified on the unscaled rows) or a Farkas
+    refutation.  The first solvable system wins; when both are refuted the
     multiplier certificate against system 2 is attached.  At first order
     that certificate is the oracle's KT pair (lambda, mu on the active set)
     whenever one exists, so system 2 is refuted on the same band that
@@ -286,11 +283,17 @@ def pointwise_eta_feasibility(
 
     rows = np.column_stack([np.vstack([fg, gg]), np.concatenate([f2, g2])])
     rhs = np.concatenate([fy - fx, gy[act]])
-    lp = LpProblem(c=np.zeros(s + 1), A=rows, senses=["<="] * len(rows), b=rhs, free=range(s))
-    out = solve_lp(lp)
-    if out.status == "optimal":
-        eta, omega = out.x[:s], float(out.x[s])
-        slack = rows @ out.x[: s + 1] - rhs
+    # homogenised: (eta, omega, tau) with -tau < 0 and [rows | -rhs] <= 0; a
+    # positive scale per row leaves that cone unchanged and evens out its pivots
+    weak = np.column_stack([rows, -rhs])
+    scale = np.abs(weak).max(axis=1, initial=0.0)
+    weak = weak / np.where(scale > 0.0, scale, 1.0)[:, None]
+    res = decide_alternative(np.zeros((s, 1)), weak[:, :s].T, np.array([[0.0], [-1.0]]),
+                             weak[:, s:].T)
+    if isinstance(res, StrictWitness):
+        tau = float(res.u[1])
+        eta, omega = res.x / tau, float(res.u[0]) / tau
+        slack = rows @ np.append(eta, omega) - rhs
         if (slack > 1e-7 * (1.0 + np.abs(rhs))).any():
             raise NumericalBreakdown("system 1 witness failed re-verification")
         if order == ORDER_FIRST:

@@ -1,8 +1,13 @@
 """Dense linear programming and linear alternative-system certificates.
 
-A small two-phase tableau simplex with Bland's anti-cycling rule backs every
-feasibility question in the package.  On top of it, `decide_alternative`
-settles which of two mutually exclusive linear systems is solvable
+Every LP the package solves has the one form
+
+  max c·x  s.t.  A x <= b,  b >= 0,  x_j >= 0 unless j is free,
+
+so the origin is feasible and a single tableau simplex with Bland's
+anti-cycling rule starts from the slack basis, with no phase 1.  On top of
+it, `decide_alternative` settles which of two mutually exclusive linear
+systems is solvable
 
   strict system      A'x + C'u < 0 (column-wise), B'x + D'u <= 0, u >= 0
   multiplier system  A y + B z = 0, C y + D z >= 0, y >= 0 nonzero, z >= 0
@@ -39,31 +44,30 @@ MARGIN = 1e-9  # strict rows are accepted only beyond this
 
 class NumericalBreakdown(Exception):
     """Rounding defeated a step that exact arithmetic settles: a simplex pivot
-    below PIVOT_TOL, a margin-LP dual with no mass, or a witness (here, in
-    ktcheck or in invexity) that fails its re-verification."""
+    below PIVOT_TOL, an unbounded margin LP, a margin-LP dual with no mass, or
+    a witness (here, in ktcheck or in invexity) that fails its
+    re-verification."""
 
 
 @dataclass
 class LpProblem:
-    """min (or max) c·x  s.t.  A x (senses) b,  x_j >= 0 unless j in free.
+    """max c·x  s.t.  A x <= b,  x_j >= 0 unless j in free.
 
-    senses holds "<=", "=" or ">=" per row; `free` lists variable indices
+    b must be >= 0, so that x = 0 is feasible; `free` lists variable indices
     without the nonnegativity bound.
     """
 
     c: np.ndarray
     A: np.ndarray
-    senses: Sequence[str]
     b: np.ndarray
     free: Sequence[int] = ()
-    maximize: bool = False
 
 
 @dataclass
 class LpOutcome:
-    status: Literal["optimal", "infeasible", "unbounded"]
+    status: Literal["optimal", "unbounded"]
     x: np.ndarray | None = None
-    y: np.ndarray | None = None  # row duals, original row order and sense
+    y: np.ndarray | None = None  # row duals, >= 0 at the optimum
     objective: float | None = None
 
 
@@ -74,94 +78,43 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     m, n = A.shape
     if n != len(c):
         raise ValueError("objective/constraint width mismatch")
-    sign = -1.0 if p.maximize else 1.0
-    c = sign * c
+    if (b < 0).any():
+        raise ValueError("right-hand side must be >= 0, so that x = 0 is feasible")
 
-    # split free variables into positive/negative parts
+    # split free variables into positive/negative parts, then one slack per row
     free = sorted(set(p.free))
     n_ext = n + len(free)
-    Ae = np.hstack([A, -A[:, free]]) if free else A.copy()
-    ce = np.concatenate([c, -c[free]]) if free else c.copy()
-
-    # rows to <=/>=/= with b >= 0
-    senses = list(p.senses)
-    flipped = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            Ae[i] *= -1.0
-            b[i] = -b[i]
-            flipped[i] = -1.0
-            if senses[i] == "<=":
-                senses[i] = ">="
-            elif senses[i] == ">=":
-                senses[i] = "<="
-
-    # slack/surplus columns, then one artificial per row
-    slack_cols = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            col = np.zeros(m)
-            col[i] = 1.0
-            slack_cols.append(col)
-        elif s == ">=":
-            col = np.zeros(m)
-            col[i] = -1.0
-            slack_cols.append(col)
-        elif s != "=":
-            raise ValueError(f"bad sense {s!r}")
-    S = np.column_stack(slack_cols) if slack_cols else np.zeros((m, 0))
-    n_slack = S.shape[1]
-    T = np.hstack([Ae, S, np.eye(m)])
-    total = T.shape[1]
-    art0 = n_ext + n_slack
-    basis = list(range(art0, art0 + m))
-
-    scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(Ae).max(initial=0.0)))
-
-    # phase 1: minimize artificial sum
-    cost1 = np.zeros(total)
-    cost1[art0:] = 1.0
-    T, b, basis, status = _simplex(T, b, basis, cost1, block=None)
-    if status == "unbounded":  # cannot happen for a sum of nonnegatives
-        raise NumericalBreakdown("phase-1 unbounded")
-    if float(cost1[basis] @ b) > FEAS_TOL * scale:
-        return LpOutcome("infeasible")
-    _drive_out_artificials(T, b, basis, art0)
-
-    # phase 2 on the true costs, artificials barred from entering
-    cost2 = np.zeros(total)
-    cost2[:n_ext] = ce
-    T, b, basis, status = _simplex(T, b, basis, cost2, block=art0)
+    T = np.hstack([A, -A[:, free], np.eye(m)])
+    cost = np.zeros(T.shape[1])  # _simplex minimizes -c·x
+    cost[:n] = -c
+    cost[n:n_ext] = c[free]
+    T, b, basis, status = _simplex(T, b, list(range(n_ext, n_ext + m)), cost)
     if status == "unbounded":
         return LpOutcome("unbounded")
 
-    xe = np.zeros(total)
+    xe = np.zeros(T.shape[1])
     xe[basis] = b
     x = xe[:n].copy()
     for k, j in enumerate(free):
         x[j] -= xe[n + k]
 
-    # duals read off the artificial columns: they began as the identity, so
-    # their final tableau entries are B^-1 and cB·B^-1 gives row prices
-    y = cost2[basis] @ T[:, art0:]
-    y = y * flipped * sign
-    obj = float(ce @ xe[:n_ext]) * sign
-    return LpOutcome("optimal", x=x, y=np.asarray(y), objective=obj)
+    # duals read off the slack columns: they began as the identity, so their
+    # final tableau entries are B^-1 and -cB·B^-1 gives the row prices
+    y = -(cost[basis] @ T[:, n_ext:])
+    return LpOutcome("optimal", x=x, y=y, objective=float(c @ x))
 
 
-def _simplex(T, b, basis, cost, block):
-    """Bland-rule iterations on tableau T (rows m, incl. a basis identity).
-
-    `block` bars columns >= block from entering (phase 2).  Returns the
-    updated tableau, rhs, basis and "optimal"/"unbounded".
+def _simplex(T, b, basis, cost):
+    """Bland-rule iterations minimizing cost·x on tableau T (m rows, with a
+    basis identity) from a feasible basis.  Returns the updated tableau, rhs,
+    basis and "optimal"/"unbounded".
     """
     m, total = T.shape
-    limit = total if block is None else block
     while True:
         y = cost[basis] @ T
         reduced = cost - y
         enter = -1
-        for j in range(limit):
+        for j in range(total):
             if j not in basis and reduced[j] < -FEAS_TOL:
                 enter = j
                 break
@@ -190,18 +143,6 @@ def _pivot(T, b, row, col):
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
     b -= factors * b[row]
-
-
-def _drive_out_artificials(T, b, basis, art0):
-    """Pivot basic artificials (at value ~0) onto any usable real column;
-    rows with no such column are redundant and left in place harmlessly."""
-    for r in range(len(basis)):
-        if basis[r] >= art0:
-            cols = np.flatnonzero(np.abs(T[r, :art0]) > 1e-7)
-            cols = [j for j in cols if j not in basis]
-            if cols:
-                _pivot(T, b, r, cols[0])
-                basis[r] = cols[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +215,18 @@ def decide_alternative(A, B=None, C=None, D=None) -> StrictWitness | MultiplierW
     c = np.zeros(s + p + 1)
     c[-1] = 1.0
     rows = np.block([[A.T, C.T, np.ones((q, 1))], [B.T, D.T, np.zeros((r, 1))], [c]])
-    out = solve_lp(LpProblem(c, rows, ["<="] * (q + r + 1), np.append(np.zeros(q + r), 1.0),
-                             free=tuple(range(s)) + (s + p,), maximize=True))
-    if out.status == "optimal" and out.objective > MARGIN:
+    out = solve_lp(LpProblem(c, rows, np.append(np.zeros(q + r), 1.0),
+                             free=tuple(range(s)) + (s + p,)))
+    if out.status == "unbounded":  # v <= 1 bounds the LP
+        raise NumericalBreakdown("the margin LP read unbounded")
+    if out.objective > MARGIN:
         xu = out.x[: s + p] / np.abs(out.x[: s + p]).max()  # homogeneous: scale to max 1
         w = StrictWitness(x=xu[:s], u=xu[s:])
         if not verify_certificate(w, A, B, C, D):
             raise NumericalBreakdown("strict witness failed re-verification")
         return w
 
-    yz = np.zeros(q + r) if out.y is None else np.maximum(out.y[: q + r], 0.0)
+    yz = np.maximum(out.y[: q + r], 0.0)
     mass = float(yz[:q].sum())
     if mass <= 0.5:  # strong duality rules this out: sum y = 1 - v* >= 1 - MARGIN
         raise NumericalBreakdown("the margin LP's dual has no mass on the strict rows")

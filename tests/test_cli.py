@@ -9,6 +9,7 @@ import pytest
 
 import vopt
 import vopt.gridsearch
+import vopt.linprog
 from vopt.cli import build_parser, main, run_for_report
 
 QUAD = "var x1 in [-1, 1]\nmin x1^2\n"
@@ -238,6 +239,24 @@ def test_alternative_gordan(tmp_path, capsys):
     assert rep["payload"]["variant"] == "multiplier"
     assert np.allclose(rep["payload"]["y"], [0.5, 0.5])
     assert rep["payload"]["verified"] is True
+
+
+@pytest.mark.parametrize("blocks", ['{"A": [[1, -1]]}', '{"A": [[1], [-1]]}'])
+def test_alternative_verifies_its_certificate_once(blocks, tmp_path, monkeypatch):
+    # decide_alternative re-verifies what it returns; the command adds no check
+    calls, verify = [], vopt.linprog.verify_certificate
+
+    def counted_verify(*a):
+        calls.append(a)
+        return verify(*a)
+
+    for name, module in list(sys.modules.items()):  # every binding of verify_certificate
+        if name.split(".")[0] == "vopt" and getattr(module, "verify_certificate", None) is verify:
+            monkeypatch.setattr(module, "verify_certificate", counted_verify)
+    f = tmp_path / "blocks.json"
+    f.write_text(blocks + "\n")
+    assert run_for_report(["alternative", str(f)])["payload"]["verified"] is True
+    assert len(calls) == 1
 
 
 def test_alternative_strict_branch(tmp_path):

@@ -181,6 +181,19 @@ def test_pointwise_refutation(exA):
     assert evaluate(exA.objectives[0], (1.0, 0.0)) < evaluate(exA.objectives[0], (0.0, 0.0))
 
 
+def test_system_1_with_a_nearly_flat_gradient_is_solved():
+    # At x = -0.01, f'(x) = 3e-11, so eta = (f(y) - f(x))/f'(x) ~ -3333 solves
+    # system 1, though each row's gradient entry is 3e-4 of its right-hand side.
+    P = load_problem(Path(__file__).parent / "data" / "shifted_cubic.vopt")
+    x, y = (-0.01,), (-1.0,)
+    r = pointwise_eta_feasibility(P, x, y, order=ORDER_FIRST)
+    assert r.system == 1
+    assert r.eta[0] == pytest.approx(-3333.33, rel=1e-5)
+    gap = f_vals(P, y) - f_vals(P, x)
+    lhs = np.array([grad(f, x) for f in P.objectives]) @ r.eta
+    assert (lhs - gap <= 1e-7 * (1.0 + np.abs(gap))).all()
+
+
 def test_kt_pair_refutes_system_2_where_the_exact_decision_broke_down():
     # highdim seed 5 problem 11: no active constraint, and grad f2 is nearly
     # antiparallel to grad f1; a feasibility LP solved apart from the margin

@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -20,64 +17,38 @@ from _oracles import multiplier_system_solvable, random_instance, strict_system_
 
 
 def test_known_optimum_and_duals():
-    # min -x1 - x2: optimum (3, 0.5), objective -3.5; both row prices -1/2
+    # max x1 + x2: optimum (3, 0.5), objective 3.5; both row prices 1/2
     out = solve_lp(
         LpProblem(
-            c=np.array([-1.0, -1.0]),
+            c=np.array([1.0, 1.0]),
             A=np.array([[1.0, 2.0], [1.0, 0.0]]),
-            senses=["<=", "<="],
             b=np.array([4.0, 3.0]),
         )
     )
     assert out.status == "optimal"
     np.testing.assert_allclose(out.x, [3.0, 0.5], atol=1e-9)
-    assert out.objective == pytest.approx(-3.5)
-    np.testing.assert_allclose(out.y, [-0.5, -0.5], atol=1e-9)
+    assert out.objective == pytest.approx(3.5)
+    np.testing.assert_allclose(out.y, [0.5, 0.5], atol=1e-9)
     assert out.objective == pytest.approx(float(out.y @ [4.0, 3.0]))
 
 
-def test_free_variable_equality_max():
-    # max x1 s.t. x1 + x2 = 3, x1 - x2 <= 1, x1 free, x2 >= 0
-    out = solve_lp(
-        LpProblem(
-            c=np.array([1.0, 0.0]),
-            A=np.array([[1.0, 1.0], [1.0, -1.0]]),
-            senses=["=", "<="],
-            b=np.array([3.0, 1.0]),
-            free=(0,),
-            maximize=True,
-        )
-    )
-    assert out.status == "optimal"
-    np.testing.assert_allclose(out.x, [2.0, 1.0], atol=1e-9)
-    assert out.objective == pytest.approx(2.0)
-    assert float(out.y @ [3.0, 1.0]) == pytest.approx(2.0)  # strong duality
-
-
-def test_infeasible_and_unbounded():
-    bad = solve_lp(
-        LpProblem(np.zeros(1), np.array([[1.0]]), ["<="], np.array([-1.0]))
-    )
-    assert bad.status == "infeasible"
-    unb = solve_lp(
-        LpProblem(np.array([-1.0]), np.array([[1.0]]), [">="], np.array([0.0]))
-    )
+def test_unbounded():
+    # max x s.t. -x <= 0
+    unb = solve_lp(LpProblem(np.array([1.0]), np.array([[-1.0]]), np.array([0.0])))
     assert unb.status == "unbounded"
 
 
-def test_normalized_feasibility_contradiction():
-    # y = 0 and sum y = 1 cannot both hold
-    out = solve_lp(
-        LpProblem(np.zeros(1), np.array([[1.0], [1.0]]), ["=", "="], np.array([0.0, 1.0]))
-    )
-    assert out.status == "infeasible"
+def test_negative_rhs_is_rejected():
+    # the slack basis is the starting vertex, so x = 0 must be feasible
+    with pytest.raises(ValueError):
+        solve_lp(LpProblem(np.zeros(1), np.array([[1.0]]), np.array([-1.0])))
 
 
 def test_degenerate_rhs_terminates():
     # Bland's rule must leave this degenerate vertex without cycling
     out = solve_lp(
         LpProblem(
-            c=np.array([-0.75, 150.0, -0.02, 6.0]),
+            c=np.array([0.75, -150.0, 0.02, -6.0]),
             A=np.array(
                 [
                     [0.25, -60.0, -0.04, 9.0],
@@ -85,37 +56,11 @@ def test_degenerate_rhs_terminates():
                     [0.0, 0.0, 1.0, 0.0],
                 ]
             ),
-            senses=["<=", "<=", "<="],
             b=np.array([0.0, 0.0, 1.0]),
         )
     )
     assert out.status == "optimal"
-    assert out.objective == pytest.approx(-0.05)
-
-
-def _highs_objective(p: LpProblem) -> float:
-    """The optimum of p by HiGHS, an independent solver."""
-    A, b, sign = np.asarray(p.A), np.asarray(p.b), -1.0 if p.maximize else 1.0
-    ub = [i for i, t in enumerate(p.senses) if t != "="]
-    eq = [i for i, t in enumerate(p.senses) if t == "="]
-    flip = np.array([1.0 if p.senses[i] == "<=" else -1.0 for i in ub])
-    bounds = [(None, None) if j in p.free else (0, None) for j in range(len(p.c))]
-    res = linprog(sign * np.asarray(p.c), A_ub=A[ub] * flip[:, None], b_ub=b[ub] * flip,
-                  A_eq=A[eq], b_eq=b[eq], bounds=bounds, method="highs")
-    assert res.status == 0
-    return sign * res.fun
-
-
-def test_multiplier_lp_with_a_negative_rhs_while_pivoting():
-    # The 9x3 first-order multiplier LP that vopt once built at highdim seed 5
-    # problem 11's KT point 0x1.7814b5d540248p-4, ...: rounding drives its
-    # right-hand side to -4.9e-13 while pivoting.
-    data = json.loads((Path(__file__).parent / "data" / "multiplier_lp_9x3.json").read_text())
-    p = LpProblem(c=np.array(data["c"]), A=np.array(data["A"]), senses=data["senses"],
-                  b=np.array(data["b"]), free=tuple(data["free"]), maximize=data["maximize"])
-    out = solve_lp(p)
-    assert out.status == "optimal"
-    assert out.objective == pytest.approx(_highs_objective(p), abs=1e-9)
+    assert out.objective == pytest.approx(0.05)
 
 
 def test_ratio_test_minimum_below_minus_one_keeps_a_tied_row():
@@ -123,7 +68,7 @@ def test_ratio_test_minimum_below_minus_one_keeps_a_tied_row():
     # tie window best + tol·(1 + best) then fell below best and no row tied.
     T = np.array([[1.5e-12, 1.0, 0.0], [1.0, 0.0, 1.0]])
     b = np.array([-2e-12, 1.0])
-    *_, status = _simplex(T, b, [1, 2], np.array([-1.0, 0.0, 0.0]), None)
+    *_, status = _simplex(T, b, [1, 2], np.array([-1.0, 0.0, 0.0]))
     assert status == "optimal"
 
 
@@ -202,6 +147,14 @@ def test_one_lp_decides_either_side(monkeypatch, A, side):
     assert len(lps) == 1
 
 
+def _highs(p: LpProblem):
+    """The optimum of p by HiGHS, an independent solver, or None if unbounded."""
+    bounds = [(None, None) if j in p.free else (0, None) for j in range(len(p.c))]
+    res = linprog(-np.asarray(p.c), A_ub=p.A, b_ub=p.b, bounds=bounds, method="highs")
+    assert res.status in (0, 3)  # optimal or unbounded: x = 0 is feasible
+    return -res.fun if res.status == 0 else None
+
+
 def test_random_lp_duality_gap():
     rng = np.random.default_rng(3)
     checked = 0
@@ -209,23 +162,21 @@ def test_random_lp_duality_gap():
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         A = rng.uniform(-2, 2, size=(m, n))
-        b = rng.uniform(-1, 3, size=m)
+        b = rng.uniform(0, 3, size=m)
         c = rng.uniform(-2, 2, size=n)
-        senses = [("<=", ">=", "=")[int(k)] for k in rng.integers(0, 3, size=m)]
-        out = solve_lp(LpProblem(c, A, senses, b))
-        if out.status != "optimal":
+        free = tuple(int(j) for j in np.flatnonzero(rng.random(n) < 0.3))
+        p = LpProblem(c, A, b, free)
+        out, best = solve_lp(p), _highs(p)
+        if best is None:
+            assert out.status == "unbounded"
             continue
+        assert out.status == "optimal"
         checked += 1
         scale = 1.0 + abs(out.objective)
+        assert out.objective == pytest.approx(best, abs=1e-8 * scale)
         assert abs(out.objective - float(out.y @ b)) <= 1e-8 * scale
+        assert (out.y >= -1e-9).all()
         # primal feasibility at tolerance
-        resid = A @ out.x - b
-        for i, s in enumerate(senses):
-            if s == "<=":
-                assert resid[i] <= 1e-9 * scale
-            elif s == ">=":
-                assert resid[i] >= -1e-9 * scale
-            else:
-                assert abs(resid[i]) <= 1e-9 * scale
-        assert (out.x >= -1e-9).all()
+        assert (A @ out.x - b <= 1e-9 * scale).all()
+        assert (np.delete(out.x, free) >= -1e-9).all()
     assert checked > 20
