@@ -4,8 +4,9 @@
     python scripts/payload_census.py diff A B
 
 `write` runs, in-process, for each problem: `classify --class all`, then
-`scan`, and at every scan point with a first-order pair (lambda, mu) the
-`analyze` relation and the `saddle` payload for that pair.  The problems are
+`scan` (its payload: each point's level, first-order pair, directions_tested
+and directions_failing), and at every scan point with a first-order pair
+(lambda, mu) the `analyze` relation and the `saddle` payload for that pair.  The problems are
 the bundled fixtures, tests/data/critical_line.vopt and the highdim-audit
 generator's seeds 0 and 5, problems 0-11 (from perfbench/workloads.py, which
 is only read).  OUT holds {kind: {key: payload}} with sorted keys.
@@ -51,14 +52,14 @@ def census(grid: int | None, only: list[str] | None) -> dict:
     from vopt.cli import run_for_report
 
     opts = [] if grid is None else ["--grid", str(grid)]
-    kinds: dict[str, dict] = {"classify": {}, "relation": {}, "saddle": {}}
+    kinds: dict[str, dict] = {"classify": {}, "scan": {}, "relation": {}, "saddle": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, path in problems(Path(tmp)).items():
             if only and name not in only:
                 continue
             kinds["classify"][name] = run_for_report(
                 ["classify", str(path), "--class", "all", *opts])["payload"]
-            scan = run_for_report(["scan", str(path), *opts])["payload"]
+            scan = kinds["scan"][name] = run_for_report(["scan", str(path), *opts])["payload"]
             for i, entry in enumerate(scan["points"]):
                 fo = entry["first_order"]
                 if fo is None:

@@ -24,7 +24,6 @@ __all__ = [
     "get_grid",
     "descend",
     "weighted_phi",
-    "cluster_minima",
     "local_minima_cells",
     "lowest",
     "nnls",
@@ -34,6 +33,9 @@ __all__ = [
 FEAS_EPS = 1e-9
 MAX_GRID_POINTS = 25_000_000  # refused before meshgrid allocates, so a typo in --grid fails fast
 SEED_CAP = 128  # a constant field makes every cell a minimum: at most this many seeds or representatives
+DESCENT_STEPS = 300
+NEWTON_STEPS = 40
+FD_STEP = 1e-6  # relative central-difference step of the grid gradients
 
 
 class GridTooLarge(Exception):
@@ -100,7 +102,7 @@ def weighted_phi(P: ProblemDef, lam, mu):
     return phi, dphi
 
 
-def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
+def descend(phi, dphi, x0, lower, upper, restore=None):
     """Projected gradient descent with backtracking; gradient components that
     push out of a box face are dropped.  A step must win half the decrease
     g·(x - y) predicted along the projection (not the usual 1e-4), so steps
@@ -113,7 +115,7 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
     if not np.isfinite(fx):
         return x, fx
     last = 0.0
-    for _ in range(steps):
+    for _ in range(DESCENT_STEPS):
         g = dphi(x)
         g = np.where(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)), 0.0, g)
         gn = float(np.linalg.norm(g))
@@ -136,29 +138,6 @@ def descend(phi, dphi, x0, lower, upper, steps: int = 300, restore=None):
         if not moved:
             break
     return x, fx
-
-
-def cluster_minima(points, values, radius: float = 1e-4, window: float = 1e-6, cap: int = SEED_CAP):
-    """Keep candidates within `window` (scaled) of the best value, then thin
-    them so representatives are pairwise > radius apart.  Better value wins a
-    cluster; ties go to the lexicographically smaller point.  At most `cap`
-    representatives survive (a constant field makes every point a minimizer)."""
-    vals = np.asarray(values, dtype=float)
-    best = float(vals.min())
-    win = window * (1.0 + abs(best))
-    order = sorted(
-        (k for k in range(len(vals)) if vals[k] <= best + win),
-        key=lambda k: (vals[k], tuple(points[k])),
-    )
-    reps: list[tuple[np.ndarray, float]] = []
-    for k in order:
-        if len(reps) >= cap:
-            break
-        p = np.asarray(points[k], dtype=float)
-        if all(np.linalg.norm(p - r) > radius for r, _ in reps):
-            reps.append((p, float(vals[k])))
-    reps.sort(key=lambda pv: tuple(pv[0]))
-    return reps, best
 
 
 def local_minima_cells(shape, score: np.ndarray) -> list[int]:
@@ -185,7 +164,7 @@ def lowest(values: np.ndarray, k: int) -> np.ndarray:
 # stationary-point discovery
 
 
-def _fd_gradients(P: ProblemDef, data: GridData, h: float = 1e-6):
+def _fd_gradients(P: ProblemDef, data: GridData):
     """Central-difference gradients of every f_i and g_j at all grid points,
     via vectorized grid evaluation.  (s, n+m, N) stack."""
     exprs = list(P.objectives) + list(P.constraints)
@@ -193,7 +172,7 @@ def _fd_gradients(P: ProblemDef, data: GridData, h: float = 1e-6):
     out = np.empty((len(exprs), s, N))
     for k in range(s):
         hp, hm = data.pts.copy(), data.pts.copy()
-        hk = h * np.maximum(1.0, np.abs(data.pts[k]))
+        hk = FD_STEP * np.maximum(1.0, np.abs(data.pts[k]))
         hp[k] += hk
         hm[k] -= hk
         for e_i, e in enumerate(exprs):
@@ -222,7 +201,7 @@ def nnls(cols: np.ndarray, n: int) -> np.ndarray:
     return score
 
 
-def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
+def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx):
     """Refine (x, lam, mu) on the square system [stationarity; sum lam - 1;
     g_j = 0 for snapped j] by damped least-squares steps."""
     s, n = P.dim, P.n_objectives
@@ -240,7 +219,7 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx, steps: int = 40):
         return np.concatenate([np.atleast_1d(r1), r2, r3]), fg, gg
 
     R, fg, gg = residual(x, lam, mu)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         nr = float(np.linalg.norm(R))
         if nr <= 1e-12:
             break

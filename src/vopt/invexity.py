@@ -21,9 +21,9 @@ import numpy as np
 
 from .expr import evaluate
 from .gridsearch import find_kt_points, get_grid
-from .ktcheck import SECOND_ORDER_KT, NotCritical, classify_point
+from .ktcheck import SECOND_ORDER_KT, classify_point
 from .linprog import MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative
-from .problem import DEFAULT_TOL, DirectionAnalysis, ProblemDef, feasible_at, local_model
+from .problem import DEFAULT_TOL, ProblemDef, feasible_at, local_model
 from .scalarize import (NoFeasiblePointInBox, Witness, dominating_rival, saddle_rival,
                         weighting_rival)
 
@@ -269,10 +269,7 @@ def pointwise_eta_feasibility(
     x, act, fg, gg, s = m.point, list(m.active.indices), m.Gf, m.Gg, P.dim
 
     if order == ORDER_SECOND:
-        da = d if isinstance(d, DirectionAnalysis) else m.directions([d])[0]
-        if not da.is_critical:
-            raise NotCritical(f"direction {da.direction} is not critical at {x}")
-        f2, g2 = m.second(da.direction)
+        f2, g2 = m.along(d)[1]
     elif order == ORDER_FIRST:
         f2, g2 = np.zeros(len(fg)), np.zeros(len(gg))
     else:

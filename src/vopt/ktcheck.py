@@ -22,18 +22,15 @@ from .problem import (
     FRITZ_JOHN,
     SUM_LAMBDA_ONE,
     DirectionAnalysis,
-    MissingSecondDerivative,
     MultiplierPair,
+    NotCritical,
     ProblemDef,
-    analyze_direction,
     local_model,
 )
 
 __all__ = [
     "SUM_LAMBDA_ONE",
     "FRITZ_JOHN",
-    "MODE_PLAIN",
-    "MODE_SUPPORT",
     "NOT_STATIONARY",
     "FIRST_ORDER_ONLY",
     "SECOND_ORDER_KT",
@@ -42,23 +39,15 @@ __all__ = [
     "StationarityVerdict",
     "PrimalVerdict",
     "NotCritical",
-    "MissingSecondDerivative",
     "first_order_kt",
     "second_order_multipliers",
     "classify_point",
     "primal_necessary",
 ]
 
-MODE_PLAIN = "plain"  # stationarity + curvature only; support reported post-hoc
-MODE_SUPPORT = "support"  # also pin multipliers outside I(x,d), J(x,d) to zero
-
 NOT_STATIONARY = "NotStationary"
 FIRST_ORDER_ONLY = "FirstOrderOnly"
 SECOND_ORDER_KT = "SecondOrderKT"
-
-
-class NotCritical(Exception):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,48 +94,36 @@ def second_order_multipliers(
     x,
     d,
     tol: float = DEFAULT_TOL,
-    mode: str = MODE_PLAIN,
     normalization: str = SUM_LAMBDA_ONE,
 ) -> MultiplierPair | None:
     """Multipliers certifying the second-order condition along one critical
-    direction: a pair on the band with L''(x; d) >= 0 under the chosen
-    normalization (see `LocalModel.multipliers`).  `d` may be a vector or a ready DirectionAnalysis."""
-    da, f2, g2 = _critical_seconds(P, x, d, tol)
-    return da.model.multipliers(f2, g2, *_supports(da, mode), normalization=normalization)
-
-
-def _critical_seconds(P: ProblemDef, x, d, tol: float):
-    """d's analysis (d may be a ready one) and (f2, g2); NotCritical unless critical."""
-    da = d if isinstance(d, DirectionAnalysis) else analyze_direction(P, x, d, tol)
-    if not da.is_critical:
-        raise NotCritical(f"direction {da.direction} is not critical at {da.point}")
-    return (da, *da.model.second(da.direction))
-
-
-def _supports(da: DirectionAnalysis, mode: str):  # the oracle's columns: all, or I(x,d), J(x,d)
-    return (da.zero_objectives, da.zero_constraints) if mode == MODE_SUPPORT else (None, None)
+    direction d (a vector or a ready DirectionAnalysis): a pair on the band
+    with L''(x; d) >= 0 under the chosen normalization, supported on I(x, d)
+    and J(x, d) (see `LocalModel.multipliers`).  NotCritical unless d is."""
+    m = local_model(P, x, tol)
+    _, (f2, g2) = m.along(d)
+    return m.multipliers(f2, g2, normalization=normalization)
 
 
 def classify_point(
     P: ProblemDef,
     x,
     tol: float = DEFAULT_TOL,
-    mode: str = MODE_PLAIN,
     normalization: str = SUM_LAMBDA_ONE,
 ) -> StationarityVerdict:
     """First-order test, then one second-order multiplier question per
     direction of the critical cone's finite candidate set
     (`critical_candidates`).  SecondOrderKT means every candidate admits a
-    pair: exact up to tol, within the stated limit (plain mode and Σλ = 1
-    vertices; s <= 2 or at most two vertices).  A read of the shared model."""
+    pair: exact up to tol, within the stated limit (Σλ = 1 vertices; s <= 2
+    or at most two vertices).  A read of the shared model."""
     m = local_model(P, x, tol)
     fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
                                    per_direction=(), directions_tested=0)
     outcomes = [
-        DirectionOutcome(analysis=da, multipliers=m.multipliers(
-            f2, g2, *_supports(da, mode), normalization=normalization))
+        DirectionOutcome(analysis=da,
+                         multipliers=m.multipliers(f2, g2, normalization=normalization))
         for da, (f2, g2) in zip(m.critical_directions, m.critical_seconds)
     ]
     all_ok = all(o.multipliers is not None for o in outcomes)
@@ -164,7 +141,7 @@ def primal_necessary(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> PrimalVer
     every h_i with index in I(x,d) (objectives) and J(x,d) (constraints).
     Inconsistency is certified by the multiplier system of the alternative
     theorem, which is exactly a Fritz John second-order pair on I ∪ J."""
-    da, f2, g2 = _critical_seconds(P, x, d, tol)
+    da, (f2, g2) = local_model(P, x, tol).along(d)
     idx_f = da.zero_objectives
     idx_g = [da.active.indices.index(j) for j in da.zero_constraints]  # rows of Gg
     if not idx_f and not idx_g:

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import (Expr, ExprError, NondifferentiablePoint, evaluate, grad, hessian,
-                   parse_expr, second_dir_deriv)
+from .expr import Expr, ExprError, evaluate, grad, hessian, parse_expr, second_dir_deriv
 from .memo import RESULTS, memo, shared
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
     "EmptyObjectives",
     "BadBounds",
     "InfeasiblePoint",
-    "MissingSecondDerivative",
+    "NotCritical",
     "parse_problem",
     "load_problem",
     "within",
@@ -73,7 +72,7 @@ class InfeasiblePoint(Exception):
         super().__init__(f"constraint {index} violated: g = {value:.6g} > 0")
 
 
-class MissingSecondDerivative(Exception):
+class NotCritical(Exception):
     pass
 
 
@@ -214,6 +213,8 @@ def parse_problem(text: str) -> ProblemDef:
             raise ParseError(ln, 1, f"unrecognized line {stripped.split()[0]!r}")
     if not objectives:
         raise EmptyObjectives("no 'min' lines found")
+    if not names:
+        raise ParseError(1, 1, "no 'var' lines found")
     return ProblemDef(
         var_names=tuple(names),
         lower=np.array(lowers),
@@ -273,9 +274,10 @@ class LocalModel:
     feasible point x, computed once: the active set A(x), the gradient rows
     Gf (n x s) of the objectives and Gg (|A| x s) of the active constraints,
     and the per-row activity tolerances tol·(1 + |row|).  `multipliers` is
-    the one KT-multiplier oracle, read off the cone's extreme `rays`; the
-    rays, the `critical_directions` and their `critical_seconds` are filled
-    in on first use.  `local_model` shares one model per point."""
+    the one KT-multiplier oracle, read off the cone's extreme `rays`, and
+    `along` the one read along a direction; the rays, the
+    `critical_directions` and their `critical_seconds` are filled in on
+    first use.  `local_model` shares one model per point."""
 
     def __init__(self, P: ProblemDef, x, tol: float = DEFAULT_TOL):
         self.P = P
@@ -317,33 +319,28 @@ class LocalModel:
                     out.append(ray)
         return np.array(out).reshape(-1, k)
 
-    def vertices(self, obj_support=None, con_support=None,
-                 normalization: str = SUM_LAMBDA_ONE) -> tuple[np.ndarray, np.ndarray]:
+    def vertices(self, normalization: str = SUM_LAMBDA_ONE) -> tuple[np.ndarray, np.ndarray]:
         """(vertices, recession rays) of the multiplier set, read off the
-        `rays` that vanish off the supports (all columns when None).  Under
-        Σλ = 1 the vertices are the rays with λ ≠ 0, scaled to Σλ = 1, and the
-        rays with λ = 0 recede; under Fritz John every ray is a vertex, scaled
-        to Σλ + Σμ = 1."""
-        n, act = self.P.n_objectives, self.active.indices
-        inside = np.ones(self.rays.shape[1], dtype=bool)
-        if obj_support is not None:
-            inside[:n] = np.isin(np.arange(n), obj_support)
-        if con_support is not None:
-            inside[n:] = np.isin(act, con_support)
-        W = self.rays[~self.rays[:, ~inside].any(axis=1)]
+        `rays`.  Under Σλ = 1 the vertices are the rays with λ ≠ 0, scaled to
+        Σλ = 1, and the rays with λ = 0 recede; under Fritz John every ray is a
+        vertex, scaled to Σλ + Σμ = 1."""
+        n, W = self.P.n_objectives, self.rays
         if normalization == FRITZ_JOHN:
             return W / W.sum(axis=1, keepdims=True), W[:0]
         lam = W[:, :n].sum(axis=1)
         return W[lam > 0.0] / lam[lam > 0.0, None], W[lam == 0.0]
 
-    def multipliers(self, f2=None, g2=None, obj_support=None, con_support=None,
+    def multipliers(self, f2=None, g2=None,
                     normalization: str = SUM_LAMBDA_ONE) -> MultiplierPair | None:
         """The KT-multiplier oracle, answered from `vertices`: at first order
         the first vertex.  With second derivatives f2 (all objectives) and g2
-        (active constraints) the vertex with the largest L''(x; d); when that
-        is negative, a recession ray with positive L'' lifts it to L'' = 1.
-        None when no pair passes."""
-        V, rec = self.vertices(obj_support, con_support, normalization)
+        (active constraints) along a critical d the vertex with the largest
+        L''(x; d); when that is negative, a recession ray with positive L''
+        lifts it to L'' = 1.  None when no pair passes.  No column is masked:
+        Σλ∇f + Σμ∇g = 0 with no ∇h·d > 0 leaves every λ_i∇f_i·d and μ_j∇g_j·d
+        at zero up to the band, so each pair already lies on I(x, d) and
+        J(x, d)."""
+        V, rec = self.vertices(normalization)
         if not len(V):
             return None
         v = V[0]
@@ -395,14 +392,21 @@ class LocalModel:
 
     def second(self, d) -> tuple[np.ndarray, np.ndarray]:
         """Second directional derivatives along d: (f_i''(x; d) for every
-        objective, g_j''(x; d) for every active constraint)."""
-        try:
-            f2 = np.array([second_dir_deriv(f, self.point, d) for f in self.P.objectives])
-            g2 = np.array([second_dir_deriv(self.P.constraints[j], self.point, d)
-                           for j in self.active.indices])
-        except NondifferentiablePoint as e:
-            raise MissingSecondDerivative(str(e)) from e
+        objective, g_j''(x; d) for every active constraint).  A jet's value
+        part is the same along every d, so `grad` met any kink or domain
+        fault while the model was built."""
+        f2 = np.array([second_dir_deriv(f, self.point, d) for f in self.P.objectives])
+        g2 = np.array([second_dir_deriv(self.P.constraints[j], self.point, d)
+                       for j in self.active.indices])
         return f2, g2
+
+    def along(self, d) -> tuple[DirectionAnalysis, tuple[np.ndarray, np.ndarray]]:
+        """d's analysis (d a vector or a ready DirectionAnalysis) and `second`
+        along it: the one per-direction read.  NotCritical unless d is critical."""
+        da = d if isinstance(d, DirectionAnalysis) else self.directions([d])[0]
+        if not da.is_critical:
+            raise NotCritical(f"direction {da.direction} is not critical at {da.point}")
+        return da, self.second(da.direction)
 
     @shared
     def critical_directions(self) -> tuple[DirectionAnalysis, ...]:

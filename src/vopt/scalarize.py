@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ExprError, evaluate, grad
-from .gridsearch import (cluster_minima, descend, get_grid, grid_size, local_minima_cells, lowest,
+from .gridsearch import (SEED_CAP, descend, get_grid, grid_size, local_minima_cells, lowest,
                          weighted_phi)
 from .memo import RESULTS, memo
 from .problem import DEFAULT_TOL, ProblemDef, feasible_at, local_model, within
@@ -47,6 +47,7 @@ __all__ = [
 
 MERGE_RADIUS = 1e-4
 VALUE_WINDOW = 1e-6
+WEIGHT_TOL = 1e-12  # how far a weight may sit below 0, and Σλ off 1
 POLISH_SEEDS = 16
 WITNESS_GAP = 1e-9  # a dominating rival must clear this in each objective, relatively scaled
 REFUTE_MARGIN = 1e-5  # Lagrangian-comparison rivals need this much: multiplier
@@ -119,18 +120,18 @@ class RelationReport:
     grid: int
 
 
-def check_weights(P: ProblemDef, lam, mu=None, tol: float = 1e-12):
+def check_weights(P: ProblemDef, lam, mu=None):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (P.n_objectives,):
         raise BadWeights(f"lambda must have length {P.n_objectives}")
-    if not np.isfinite(lam).all() or (lam < -tol).any() or abs(lam.sum() - 1.0) > tol:
+    if not np.isfinite(lam).all() or (lam < -WEIGHT_TOL).any() or abs(lam.sum() - 1.0) > WEIGHT_TOL:
         raise BadWeights("lambda must be finite, nonnegative and sum to one")
     if mu is None:
         mu = np.zeros(P.n_constraints)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (P.n_constraints,):
         raise BadWeights(f"mu must have length {P.n_constraints}")
-    if not np.isfinite(mu).all() or (mu < -tol).any():
+    if not np.isfinite(mu).all() or (mu < -WEIGHT_TOL).any():
         raise BadWeights("mu must be finite and nonnegative")
     return lam, mu
 
@@ -252,8 +253,32 @@ def solve_unconstrained(P: ProblemDef, lam, mu=None, grid: int | None = None) ->
     return _minimizer_set(*_polish(P, lam, mu, grid, feasible_only=False))
 
 
+def cluster_minima(points, values):
+    """Keep candidates within VALUE_WINDOW (scaled) of the best value, then
+    thin them so representatives are pairwise > MERGE_RADIUS apart.  Better
+    value wins a cluster; ties go to the lexicographically smaller point.  At
+    most SEED_CAP representatives survive (a constant field makes every point
+    a minimizer)."""
+    vals = np.asarray(values, dtype=float)
+    best = float(vals.min())
+    win = VALUE_WINDOW * (1.0 + abs(best))
+    order = sorted(
+        (k for k in range(len(vals)) if vals[k] <= best + win),
+        key=lambda k: (vals[k], tuple(points[k])),
+    )
+    reps: list[tuple[np.ndarray, float]] = []
+    for k in order:
+        if len(reps) >= SEED_CAP:
+            break
+        p = np.asarray(points[k], dtype=float)
+        if all(np.linalg.norm(p - r) > MERGE_RADIUS for r, _ in reps):
+            reps.append((p, float(vals[k])))
+    reps.sort(key=lambda pv: tuple(pv[0]))
+    return reps, best
+
+
 def _minimizer_set(pts, vals, grid: int) -> MinimizerSet:
-    reps, best = cluster_minima(pts, vals, MERGE_RADIUS, VALUE_WINDOW)
+    reps, best = cluster_minima(pts, vals)
     return MinimizerSet(tuple(Minimizer(point=p, value=v) for p, v in reps), value=best, grid=grid)
 
 

@@ -31,7 +31,6 @@ from vopt.invexity import (
 from vopt.ktcheck import (
     FIRST_ORDER_ONLY,
     FRITZ_JOHN,
-    MODE_SUPPORT,
     SECOND_ORDER_KT,
     classify_point,
     first_order_kt,
@@ -256,10 +255,7 @@ def test_criterion_6_duality_consistency():
     disagreements = 0
     for P, x, d in pairs:
         inconsistent = primal_necessary(P, x, d).inconsistent
-        some = (
-            second_order_multipliers(P, x, d, mode=MODE_SUPPORT, normalization=FRITZ_JOHN)
-            is not None
-        )
+        some = second_order_multipliers(P, x, d, normalization=FRITZ_JOHN) is not None
         if inconsistent != some:
             disagreements += 1
     assert disagreements == 0

@@ -93,6 +93,25 @@ def _one_line_error(capsys) -> None:
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan"], ["classify", "--class", "all"], ["weighting", "--lambda", "0.5,0.5"],
+])
+def test_problem_without_variables_exits_1(argv, tmp_path, capsys):
+    f = tmp_path / "novar.vopt"
+    f.write_text("min 1\nmin 2\n")
+    assert main([argv[0], str(f), *argv[1:]]) == 1
+    _one_line_error(capsys)
+
+
+def test_analyze_at_a_kink_exits_2(tmp_path, capsys):
+    # grad meets abs at 0 while the local model is built, before any second
+    # directional derivative is taken
+    f = tmp_path / "kink.vopt"
+    f.write_text("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin abs(x1) + x2^2\nmin x2\n")
+    assert main(["analyze", str(f), "--point", "0,0"]) == 2
+    assert capsys.readouterr().err == "error: abs at zero\n"
+
+
 def test_analyze_overflow_exits_2(tmp_path, capsys):
     f = tmp_path / "over.vopt"
     f.write_text("var x1 in [-5, 5]\nmin exp(x1^8)\n")

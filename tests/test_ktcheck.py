@@ -20,7 +20,6 @@ from vopt.gridsearch import find_kt_points
 from vopt.ktcheck import (
     FIRST_ORDER_ONLY,
     FRITZ_JOHN,
-    MODE_SUPPORT,
     NOT_STATIONARY,
     SECOND_ORDER_KT,
     NotCritical,
@@ -29,7 +28,7 @@ from vopt.ktcheck import (
     primal_necessary,
     second_order_multipliers,
 )
-from vopt.problem import load_problem, parse_problem, sample_critical_directions
+from vopt.problem import analyze_direction, load_problem, parse_problem, sample_critical_directions
 
 FIX = Path(vopt.__file__).parent / "fixtures"
 
@@ -140,15 +139,17 @@ def test_second_order_rejects_noncritical_direction(exA):
         second_order_multipliers(exA, [1.0, 0.0], [1.0, 0.0])
 
 
-def test_second_order_support_mode_agrees_on_fixtures(exA, exC):
+def test_second_order_pair_is_supported_on_fixtures(exA, exC):
+    # complementarity along d: the oracle masks no column, yet every pair
+    # lies on I(x, d) and J(x, d)
     for P, x, d in [
         (exA, [1.0, 0.0], [0.0, 1.0]),
         (exC, [1.0, -1.0], np.array([1.0, 1.0]) / ROOT2),
         (exC, [1.0, -1.0], [0.0, 0.0]),
     ]:
-        plain = second_order_multipliers(P, x, d)
-        support = second_order_multipliers(P, x, d, mode=MODE_SUPPORT)
-        assert (plain is None) == (support is None)
+        pair = second_order_multipliers(P, x, d)
+        da = analyze_direction(P, x, d)
+        assert pair is None or supported_on(pair, da.zero_objectives, da.zero_constraints, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_duality_consistency_across_fixture_pairs(exA, exB, exC):
         v = primal_necessary(P, x, da)
         if v.status == "EmptyIndexSets":
             continue
-        pair = second_order_multipliers(P, x, da, mode=MODE_SUPPORT, normalization=FRITZ_JOHN)
+        pair = second_order_multipliers(P, x, da, normalization=FRITZ_JOHN)
         assert v.inconsistent == (pair is not None), (x, da.direction)
 
 
@@ -295,15 +296,14 @@ def test_recession_ray_lifts_the_curvature():
     grads = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, -1.0], [0.0, 1.0]])
     hessians = np.array([np.diag([-6.0, 0.0])] * 2 + [np.diag([2.0, 0.0])] * 2)
     norms = np.linalg.norm(grads, axis=1)  # the stationarity band on these rows, loosest form
-    for mode in ("plain", MODE_SUPPORT):
-        for normalization in ("SumLambdaOne", FRITZ_JOHN):
-            v = classify_point(P, [0.0, 0.0], mode=mode, normalization=normalization)
-            assert v.level == SECOND_ORDER_KT and v.directions_tested > 0
-            for o in v.per_direction:
-                w, d = np.concatenate([o.multipliers.lam, o.multipliers.mu]), o.analysis.direction
-                band = 1e-8 * (w @ (norms + np.maximum(norms, 1.0)))
-                assert (w >= 0).all() and np.abs(w @ grads).max() <= band
-                assert d @ np.tensordot(w, hessians, axes=1) @ d >= 0.0
+    for normalization in ("SumLambdaOne", FRITZ_JOHN):
+        v = classify_point(P, [0.0, 0.0], normalization=normalization)
+        assert v.level == SECOND_ORDER_KT and v.directions_tested > 0
+        for o in v.per_direction:
+            w, d = np.concatenate([o.multipliers.lam, o.multipliers.mu]), o.analysis.direction
+            band = 1e-8 * (w @ (norms + np.maximum(norms, 1.0)))
+            assert (w >= 0).all() and np.abs(w @ grads).max() <= band
+            assert d @ np.tensordot(w, hessians, axes=1) @ d >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -428,29 +428,27 @@ def _certificates_hold(P, x, closed, tol=1e-8):
     forms: signs, support, Σλ = 1, curvature and the stationarity band."""
     fs, gs = closed(*x)
     Gf, Gg = (np.array([r[1] for r in rows], dtype=float).reshape(-1, 2) for rows in (fs, gs))
-    for mode in ("plain", MODE_SUPPORT):
-        v = classify_point(P, x, tol=tol, mode=mode)
-        for o in v.per_direction:
-            pair, d = o.multipliers, o.analysis.direction
-            assert (pair is None) == (second_order_multipliers(P, x, o.analysis, tol, mode) is None)
-            if pair is None:
-                continue
-            lam, mu = pair.lam, pair.mu
-            assert (lam >= 0).all() and (mu >= 0).all()
-            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-            for j, (gj, _, _) in enumerate(gs):
-                assert mu[j] == 0.0 or abs(gj) <= 2 * tol * (1 + abs(gj))
-            if mode == MODE_SUPPORT:
-                assert supported_on(pair, o.analysis.zero_objectives, o.analysis.zero_constraints, 0.0)
-            curvature = sum(w * d @ np.array(h, dtype=float) @ d
-                            for w, (_, _, h) in zip((*lam, *mu), (*fs, *gs)))
-            assert curvature >= -tol and pair.curvature == pytest.approx(curvature, abs=1e-9)
-            # the band of LocalModel.multipliers, with rows scaled by max(|row|, 1)
-            # and Σλ = 1 on the scaled rows
-            fn, gn = np.linalg.norm(Gf, axis=1), np.linalg.norm(Gg, axis=1)
-            scaled = lam @ np.maximum(fn, 1.0)
-            residual = np.abs(lam @ Gf + mu @ Gg).max()
-            assert residual <= tol * (scaled + lam @ fn + mu @ gn) * (1 + 1e-6) + 1e-12 * scaled
+    v = classify_point(P, x, tol=tol)
+    for o in v.per_direction:
+        pair, d = o.multipliers, o.analysis.direction
+        assert (pair is None) == (second_order_multipliers(P, x, o.analysis, tol) is None)
+        if pair is None:
+            continue
+        lam, mu = pair.lam, pair.mu
+        assert (lam >= 0).all() and (mu >= 0).all()
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        for j, (gj, _, _) in enumerate(gs):
+            assert mu[j] == 0.0 or abs(gj) <= 2 * tol * (1 + abs(gj))
+        assert supported_on(pair, o.analysis.zero_objectives, o.analysis.zero_constraints, 0.0)
+        curvature = sum(w * d @ np.array(h, dtype=float) @ d
+                        for w, (_, _, h) in zip((*lam, *mu), (*fs, *gs)))
+        assert curvature >= -tol and pair.curvature == pytest.approx(curvature, abs=1e-9)
+        # the band of LocalModel.multipliers, with rows scaled by max(|row|, 1)
+        # and Σλ = 1 on the scaled rows
+        fn, gn = np.linalg.norm(Gf, axis=1), np.linalg.norm(Gg, axis=1)
+        scaled = lam @ np.maximum(fn, 1.0)
+        residual = np.abs(lam @ Gf + mu @ Gg).max()
+        assert residual <= tol * (scaled + lam @ fn + mu @ gn) * (1 + 1e-6) + 1e-12 * scaled
 
 
 @pytest.mark.parametrize("name, x, closed", [

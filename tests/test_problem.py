@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vopt
-from vopt.expr import grad
+from vopt.expr import NondifferentiablePoint, grad
 from pathlib import Path
 
 from vopt.problem import (
@@ -17,6 +17,7 @@ from vopt.problem import (
     active_set,
     analyze_direction,
     load_problem,
+    local_model,
     parse_problem,
     sample_critical_directions,
 )
@@ -275,3 +276,11 @@ def test_in_box():
     assert P.in_box([3.0, -3.0])
     assert not P.in_box([3.1, 0.0])
     assert P.in_box([3.05, 0.0], slack=0.1)
+
+
+def test_kink_is_met_while_the_local_model_is_built():
+    # a jet's value part is the same along every direction, so grad reaches
+    # abs at 0 before any second directional derivative is asked for
+    P = parse_problem("var x1 in [-1, 1]\nvar x2 in [-1, 1]\nmin abs(x1) + x2^2\nmin x2\n")
+    with pytest.raises(NondifferentiablePoint):
+        local_model(P, [0.0, 0.0])

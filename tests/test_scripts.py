@@ -36,8 +36,10 @@ def test_payload_census_records_one_fixture_and_diffs_it_against_itself(tmp_path
     out = tmp_path / "census.json"
     _run(["scripts/payload_census.py", "write", str(out), "--grid", "41", "--only", "exA"])
     kinds = json.loads(out.read_text())
-    assert list(kinds["classify"]) == ["exA"]
+    assert list(kinds["classify"]) == list(kinds["scan"]) == ["exA"]
+    assert [e["level"] for e in kinds["scan"]["exA"]["points"]].count("SecondOrderKT") == 2
     assert kinds["relation"] and kinds["relation"].keys() == kinds["saddle"].keys()
     lines = _run(["scripts/payload_census.py", "diff", str(out), str(out)]).splitlines()
     assert lines and all(" 0 of " in ln for ln in lines), lines
     assert any(ln.startswith("relation.domination_witness:") for ln in lines)
+    assert any(ln.startswith("scan: 0 of 1 ") for ln in lines)
