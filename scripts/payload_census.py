@@ -9,7 +9,11 @@ and directions_failing), and at every scan point with a first-order pair
 (lambda, mu) the `analyze` relation and the `saddle` payload for that pair.  The problems are
 the bundled fixtures, tests/data/critical_line.vopt and the highdim-audit
 generator's seeds 0 and 5, problems 0-11 (from perfbench/workloads.py, which
-is only read).  OUT holds {kind: {key: payload}} with sorted keys.
+is only read).  The `parse` kind reads each problem file, and a fixed-seed
+corpus of expression strings and problem texts built from well- and
+ill-formed fragments: the parsed content (names, bounds, each expression's
+repr), or the exception's class and message.  OUT holds {kind: {key:
+payload}} with sorted keys.
 
 `diff` prints, per kind, how many keys differ between two such files, and
 for the relation one line per field.  A key present in one file only counts
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +49,69 @@ def problems(work: Path) -> dict[str, Path]:
     return out
 
 
+EXPR_VARS = ("x", "y1", "_z", "é", "x²")
+FRAGMENTS = ("x", "y1", "_z", "é", "x²", "²", "٣", "½", "m", "sin", "exp(", "foo(", "(", ")",
+             "+", "-", "*", "/", "^", "^2", "^-1", "^1e²", "1", "2.5", ".5", "1.", "007", "1e3",
+             "1E-2", "1e+", "1e٣", "1e²", "1.2.3", ".", "1e999", " ", "\t", "\u00a0", "#", "$")
+NAMES = ("x", "y1", "_z", "é", "sin", "2x", "x1, x2", "²", "٣", "x y", "")
+NUMBERS = ("0", "1", "-1", "2.5", " 3 ", "٣", "1.2.3", ".", "1e999", "inf", "-inf", "nan",
+           "-1e308", "1e308", "x")
+BOXES = ("[{}, {}]", "[{},{}]", "[{} {}]", "{}, {}]", "[{}, {}", "[[{}, {}]]")
+TAILS = ("", " <= 0", "<=0", " <= 0.", " <= 0.0", " <= 1", " <= 0 <= 0")
+
+
+def corpus() -> tuple[list[str], list[str]]:
+    """2,000 expression strings and 500 problem texts drawn from FRAGMENTS
+    and the declaration pieces above, the same on every run."""
+    r = random.Random(0)
+
+    def expr():
+        return "".join(r.choice(FRAGMENTS) for _ in range(r.randint(0, 8)))
+
+    def line():
+        k = r.random()
+        if k < 0.3:
+            box = r.choice(BOXES).format(r.choice(NUMBERS), r.choice(NUMBERS))
+            body = f"var {r.choice(NAMES)}{r.choice((' in ', '  in ', ' in', ' '))}{box}"
+        elif k < 0.6:
+            body = r.choice(("min ", "min\t", "min", "max ")) + expr()
+        elif k < 0.85:
+            body = r.choice(("st ", "st\t", "st")) + expr() + r.choice(TAILS)
+        else:
+            body = r.choice(("", "# note", "x", "min m", "st s <= 0"))
+        return r.choice(("", " ", "\t")) + body + r.choice(("", " ", "  # c"))
+
+    texts = []
+    for _ in range(500):
+        head = ["var x in [-1, 1]", "var y1 in [0, 2]"] if r.random() < 0.5 else []
+        texts.append("\n".join(head + [line() for _ in range(r.randint(0, 5))]) + "\n")
+    return [expr() for _ in range(2000)], texts
+
+
+def _parsed(read, *args) -> dict:
+    """What `read(*args)` gives: the parsed content, or the exception's class and message."""
+    try:
+        out = read(*args)
+    except Exception as e:  # every outcome is a record, a failure too
+        return {"error": type(e).__name__, "message": str(e)}
+    if hasattr(out, "var_names"):
+        return {"vars": list(out.var_names), "lower": out.lower.tolist(), "upper": out.upper.tolist(),
+                "objectives": [repr(e) for e in out.objectives],
+                "constraints": [repr(e) for e in out.constraints]}
+    return {"repr": repr(out)}
+
+
+def parse_records(paths: dict[str, Path]) -> dict:
+    from vopt.expr import parse_expr
+    from vopt.problem import load_problem, parse_problem
+
+    exprs, texts = corpus()
+    out = {name: _parsed(load_problem, path) for name, path in paths.items()}
+    out.update((f"expr#{i:04d}", _parsed(parse_expr, t, EXPR_VARS)) for i, t in enumerate(exprs))
+    out.update((f"text#{i:03d}", _parsed(parse_problem, t)) for i, t in enumerate(texts))
+    return out
+
+
 def _csv(values) -> str:
     return ",".join(repr(float(v)) for v in values)  # repr round-trips every float
 
@@ -54,9 +122,9 @@ def census(grid: int | None, only: list[str] | None) -> dict:
     opts = [] if grid is None else ["--grid", str(grid)]
     kinds: dict[str, dict] = {"classify": {}, "scan": {}, "relation": {}, "saddle": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, path in problems(Path(tmp)).items():
-            if only and name not in only:
-                continue
+        paths = {k: p for k, p in problems(Path(tmp)).items() if not only or k in only}
+        kinds["parse"] = parse_records(paths)
+        for name, path in paths.items():
             kinds["classify"][name] = run_for_report(
                 ["classify", str(path), "--class", "all", *opts])["payload"]
             scan = kinds["scan"][name] = run_for_report(["scan", str(path), *opts])["payload"]

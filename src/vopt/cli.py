@@ -291,7 +291,7 @@ def _cmd_alternative(args):
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise UsageError(f"bad matrices file {args.matrices}: {e}") from e
     A = _matrix(data, "A") if isinstance(data, dict) else None
     if A is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -32,6 +33,7 @@ __all__ = [
     "DomainError",
     "NondifferentiablePoint",
     "parse_expr",
+    "is_identifier",
     "to_text",
     "evaluate",
     "eval_grid",
@@ -129,141 +131,98 @@ Expr = Const | Var | Neg | Call | BinOp | Pow
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUM_START = "0123456789."
+_TOKEN = re.compile(r"""[ \t]*(?:  # blanks are spaces and tabs
+    (?P<num>[0-9.]+(?P<exp>[eE][+-]?(?P<digits>\w+))?)  # digits and points, maybe an exponent
+  | (?P<ident>\w+)  # a name if its first character is a letter (str.isalpha) or _
+  | (?P<op>[-+*/^()])
+  | (?P<eof>\Z)
+  | (?P<bad>.)
+)""", re.S | re.X)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> tuple[str, str, int]:
-        """Return (kind, lexeme, offset) without consuming."""
-        self._skip_ws()
-        t, i = self.text, self.pos
-        if i >= len(t):
-            return ("eof", "", i)
-        ch = t[i]
-        if ch in "+-*/^()":
-            return (ch, ch, i)
-        if ch in _NUM_START:
-            j = i
-            while j < len(t) and t[j] in "0123456789.":
-                j += 1
-            if j < len(t) and t[j] in "eE":
-                k = j + 1
-                if k < len(t) and t[k] in "+-":
-                    k += 1
-                if k < len(t) and t[k].isdigit():
-                    j = k
-                    while j < len(t) and t[j].isdigit():
-                        j += 1
-            return ("num", t[i:j], i)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            return ("ident", t[i:j], i)
-        return ("bad", ch, i)
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
-        return tok
-
-
-class _Parser:
-    """Recursive descent over: expr := term (('+'|'-') term)*,
-    term := factor (('*'|'/') factor)*, factor := atom ['^' integer],
-    atom := number | variable | func '(' expr ')' | '(' expr ')' | '-' atom.
-    """
-
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.toks = _Tokens(text)
-        self.variables = variables
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, lex, off = self.toks.peek()
-        if kind != "eof":
-            raise ExprSyntaxError(off, ("operator", "end of input"), lex)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind in "+-":
-                self.toks.take()
-                e = BinOp(kind, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind in "*/":
-                self.toks.take()
-                e = BinOp(kind, e, self.factor())
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        e = self.atom()
-        kind, _, _ = self.toks.peek()
-        if kind == "^":
-            self.toks.take()
-            e = Pow(e, self._integer())
-        return e
-
-    def _integer(self) -> int:
-        sign = 1
-        kind, lex, off = self.toks.take()
-        if kind == "-":
-            sign = -1
-            kind, lex, off = self.toks.take()
-        if kind != "num" or any(c in lex for c in ".eE"):
-            raise ExprSyntaxError(off, ("integer exponent",), lex)
-        return sign * int(lex)
-
-    def atom(self) -> Expr:
-        kind, lex, off = self.toks.take()
-        if kind == "num":
-            return Const(float(lex))
-        if kind == "-":
-            return Neg(self.atom())
-        if kind == "(":
-            e = self.expr()
-            kind, lex, off = self.toks.take()
-            if kind != ")":
-                raise ExprSyntaxError(off, (")",), lex)
-            return e
-        if kind == "ident":
-            nxt, _, _ = self.toks.peek()
-            if nxt == "(":
-                if lex not in FUNCTIONS:
-                    raise ExprSyntaxError(off, FUNCTIONS, lex)
-                self.toks.take()
-                e = self.expr()
-                kind2, lex2, off2 = self.toks.take()
-                if kind2 != ")":
-                    raise ExprSyntaxError(off2, (")",), lex2)
-                return Call(lex, e)
-            try:
-                return Var(self.variables.index(lex), lex)
-            except ValueError:
-                raise UnknownVariable(lex, off) from None
-        raise ExprSyntaxError(off, ("number", "variable", "function", "(", "-"), lex)
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, lexeme, offset) through the end of input.  An operator is its own
+    kind; a word that is not a name is a bad token, its first character; an
+    exponent keeps only the leading digits (`str.isdigit`) of its word."""
+    toks, pos = [], 0
+    while not toks or toks[-1][0] != "eof":
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        lex, off = m[kind], m.start(kind)
+        if kind == "op":
+            kind = lex
+        elif kind == "ident" and not (lex[0].isalpha() or lex[0] == "_"):
+            kind, lex = "bad", lex[0]
+        elif kind == "num" and m["exp"]:
+            n = next((i for i, c in enumerate(m["digits"]) if not c.isdigit()), len(m["digits"]))
+            lex = text[off : m.start("digits") + n if n else m.start("exp")]
+        toks.append((kind, lex, off))
+        pos = off + len(lex)
+    return toks
 
 
 def parse_expr(text: str, variables: tuple[str, ...] | list[str]) -> Expr:
-    """Parse `text` against the declared variable names (index = position)."""
-    return _Parser(text, tuple(variables)).parse()
+    """Parse `text` against the declared variable names (index = position), by
+    recursive descent over: expr := term (('+'|'-') term)*,
+    term := factor (('*'|'/') factor)*, factor := atom ['^' ['-'] integer],
+    atom := number | variable | func '(' expr ')' | '(' expr ')' | '-' atom."""
+    toks, variables = _tokens(text)[::-1], tuple(variables)  # the next token is toks[-1]
+
+    def ending(e: Expr, want: str, expected: tuple[str, ...]) -> Expr:  # e, then token `want`
+        kind, lex, off = toks.pop()
+        if kind != want:
+            raise ExprSyntaxError(off, expected, lex)
+        return e
+
+    def chain(level: int) -> Expr:  # terms (level 0) or factors (1), joined left-associatively
+        operand = factor if level else partial(chain, 1)
+        e = operand()
+        while toks[-1][0] in ("+-", "*/")[level]:
+            e = BinOp(toks.pop()[0], e, operand())
+        return e
+
+    def factor() -> Expr:
+        e = atom()
+        if toks[-1][0] != "^":
+            return e
+        toks.pop()
+        kind, lex, off = toks.pop()
+        sign = 1
+        if kind == "-":
+            sign, (kind, lex, off) = -1, toks.pop()
+        if kind != "num" or not lex.isdigit():
+            raise ExprSyntaxError(off, ("integer exponent",), lex)
+        return Pow(e, sign * int(lex))
+
+    def atom() -> Expr:
+        kind, lex, off = toks.pop()
+        if kind == "num":
+            try:
+                if math.isfinite(v := float(lex)):
+                    return Const(v)
+            except ValueError:  # two points, or a point alone
+                pass
+            raise ExprSyntaxError(off, ("finite number",), lex)
+        if kind == "-":
+            return Neg(atom())
+        if kind == "(":
+            return ending(chain(0), ")", (")",))
+        if kind == "ident" and toks[-1][0] == "(":
+            if lex not in FUNCTIONS:
+                raise ExprSyntaxError(off, FUNCTIONS, lex)
+            return Call(lex, atom())  # the parenthesised argument
+        if kind == "ident" and lex in variables:
+            return Var(variables.index(lex), lex)
+        if kind == "ident":
+            raise UnknownVariable(lex, off)
+        raise ExprSyntaxError(off, ("number", "variable", "function", "(", "-"), lex)
+
+    return ending(chain(0), "eof", ("operator", "end of input"))
+
+
+def is_identifier(text: str) -> bool:
+    """Whether `text` is one identifier token, a name `parse_expr` can read."""
+    return _tokens(text)[0] == ("ident", text, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,12 @@ def weighted_phi(P: ProblemDef, lam, mu):
     return phi, dphi
 
 
+def _norm(v) -> float:
+    """Euclidean norm; past the double range it reads inf, with no overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def descend(phi, dphi, x0, lower, upper, restore=None):
     """Projected gradient descent with backtracking; gradient components that
     push out of a box face are dropped.  A step must win half the decrease
@@ -118,7 +124,7 @@ def descend(phi, dphi, x0, lower, upper, restore=None):
     for _ in range(DESCENT_STEPS):
         g = dphi(x)
         g = np.where(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)), 0.0, g)
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
         if not np.isfinite(gn) or gn <= 1e-14:
             break
         t = max(1.0 / max(gn, 1.0), 2.0 * last)
@@ -220,7 +226,7 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx):
 
     R, fg, gg = residual(x, lam, mu)
     for _ in range(NEWTON_STEPS):
-        nr = float(np.linalg.norm(R))
+        nr = _norm(R)
         if nr <= 1e-12:
             break
         H = sum(lam[i] * hessian(P.objectives[i], x) for i in range(n))
@@ -246,14 +252,14 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx):
             except ExprError:
                 t *= 0.5
                 continue
-            if np.linalg.norm(Rn) < (1.0 - 1e-4 * t) * nr:
+            if _norm(Rn) < (1.0 - 1e-4 * t) * nr:
                 x, lam, mu, R, fg, gg = xn, ln, mn, Rn, fgn, ggn
                 improved = True
                 break
             t *= 0.5
         if not improved:
             break
-    return x, lam, mu, float(np.linalg.norm(R))
+    return x, lam, mu, _norm(R)
 
 
 @memo(RESULTS)

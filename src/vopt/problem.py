@@ -12,12 +12,16 @@ condition.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .expr import Expr, ExprError, evaluate, grad, hessian, parse_expr, second_dir_deriv
+from .expr import (
+    Expr, ExprError, evaluate, grad, hessian, is_identifier, parse_expr, second_dir_deriv,
+)
 from .memo import RESULTS, memo, shared
 
 __all__ = [
@@ -154,88 +158,79 @@ class DirectionAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# file format:  var <name> in [<lo>, <hi>]  /  min <expr>  /  st <expr> <= 0
+# file format:  var <name> in [<lo>, <hi>]  /  min <expr>  /  st <expr> <= 0,
+# one per line; '#' starts a comment.  Each kind's pattern is matched over the
+# line's body, between its blanks and comment, so group offsets are columns.
+
+_BODY = re.compile(r"\s*(?P<body>[^#]*?)\s*(?:#.*)?")
+_VAR = re.compile(r"var (?:\s*(?P<name>\S.*?)\s* in \s*(?P<box>.*))?.*")  # name None: no ' in '
+_BOX = re.compile(r"\[(?P<lo>[^,]*),(?P<hi>.*)\]")
+_MIN = re.compile(r"min (?P<expr>.*)")
+_ST = re.compile(r"st[ \t](?:\s*(?P<expr>.*?)\s*<=\s*0(?:\.0?)?|.*)")  # expr None: no '<= 0' tail
 
 
 def parse_problem(text: str) -> ProblemDef:
-    lines = text.splitlines()
-    names: list[str] = []
-    lowers: list[float] = []
-    uppers: list[float] = []
-
-    def strip_comment(raw: str) -> str:
-        return raw.split("#", 1)[0].rstrip()
-
-    # first pass: variable declarations (usable anywhere in the file)
-    for ln, raw in enumerate(lines, start=1):
-        body = strip_comment(raw)
-        if not body.strip() or not body.strip().startswith("var "):
+    boxes: dict[str, tuple[float, float]] = {}
+    rest = []  # (line number, body, match): objectives and constraints wait for every name
+    for ln, line in enumerate(text.splitlines(), start=1):
+        a, b = _BODY.fullmatch(line).span("body")
+        if a == b:
             continue
-        rest = body.strip()[4:].strip()
+        var = _VAR.fullmatch(line, a, b)
+        if var is None:
+            rest.append((ln, line[a:b], _MIN.fullmatch(line, a, b) or _ST.fullmatch(line, a, b)))
+            continue
+        if var["name"] is None:
+            raise ParseError(ln, 1, "expected: var <name> in [<lo>, <hi>]")
+        box = _BOX.fullmatch(line, *var.span("box"))
+        if box is None:
+            raise ParseError(ln, var.start("box") + 1, "expected bounds [<lo>, <hi>]")
         try:
-            name, tail = rest.split(" in ", 1)
-        except ValueError:
-            raise ParseError(ln, 1, "expected: var <name> in [<lo>, <hi>]") from None
-        name = name.strip()
-        tail = tail.strip()
-        if not (tail.startswith("[") and tail.endswith("]")) or "," not in tail:
-            raise ParseError(ln, len(body) - len(tail) + 1, "expected bounds [<lo>, <hi>]")
-        lo_s, hi_s = tail[1:-1].split(",", 1)
-        try:
-            lo, hi = float(lo_s), float(hi_s)
+            lo, hi = float(box["lo"]), float(box["hi"])
         except ValueError:
             raise ParseError(ln, 1, "bounds must be numbers") from None
+        if not math.isfinite(hi - lo):  # a bound is inf or nan, or the width overflows
+            raise BadBounds(f"line {ln}: bound [{lo}, {hi}] is not finite")
         if not lo < hi:
             raise BadBounds(f"line {ln}: bound [{lo}, {hi}] is empty")
-        if name in names:
+        name = var["name"]
+        if not is_identifier(name):
+            raise ParseError(ln, var.start("name") + 1, f"variable name {name!r} is not an identifier")
+        if name in boxes:
             raise ParseError(ln, 1, f"duplicate variable {name!r}")
-        names.append(name)
-        lowers.append(lo)
-        uppers.append(hi)
+        boxes[name] = (lo, hi)
 
-    objectives: list[Expr] = []
-    constraints: list[Expr] = []
-    for ln, raw in enumerate(lines, start=1):
-        body = strip_comment(raw)
-        stripped = body.strip()
-        if not stripped or stripped.startswith("var "):
-            continue
-        if stripped.startswith("min "):
-            src = stripped[4:]
-            objectives.append(_parse_line_expr(src, names, ln, body))
-        elif stripped.startswith("st ") or stripped.startswith("st\t"):
-            src = stripped[3:].strip()
-            base, sep, tail = src.rpartition("<=")
-            if not sep or tail.strip() not in ("0", "0.0", "0."):
-                raise ParseError(ln, 1, "constraint must end with '<= 0'")
-            constraints.append(_parse_line_expr(base.strip(), names, ln, body))
-        else:
-            raise ParseError(ln, 1, f"unrecognized line {stripped.split()[0]!r}")
+    names = tuple(boxes)
+    objectives, constraints = [], []
+    for ln, body, m in rest:
+        if m is None:
+            raise ParseError(ln, 1, f"unrecognized line {body.split()[0]!r}")
+        if m["expr"] is None:
+            raise ParseError(ln, 1, "constraint must end with '<= 0'")
+        (objectives if m.re is _MIN else constraints).append(_parse_line_expr(m, names, ln))
     if not objectives:
         raise EmptyObjectives("no 'min' lines found")
     if not names:
         raise ParseError(1, 1, "no 'var' lines found")
-    return ProblemDef(
-        var_names=tuple(names),
-        lower=np.array(lowers),
-        upper=np.array(uppers),
-        objectives=tuple(objectives),
-        constraints=tuple(constraints),
-        source=text,
-    )
+    lower, upper = np.array(list(boxes.values())).T
+    return ProblemDef(names, lower, upper, tuple(objectives), tuple(constraints), source=text)
 
 
-def _parse_line_expr(src: str, names: list[str], ln: int, body: str) -> Expr:
-    col0 = body.index(src) + 1 if src and src in body else 1
+def _parse_line_expr(m: re.Match, names: tuple[str, ...], ln: int) -> Expr:
     try:
-        return parse_expr(src, tuple(names))
-    except ExprError as e:
-        pos = getattr(e, "position", 0)
-        raise ParseError(ln, col0 + max(pos, 0), str(e)) from None
+        return parse_expr(m["expr"], names)
+    except ExprError as e:  # a syntax error or an unknown name, each at its offset
+        raise ParseError(ln, m.start("expr") + 1 + e.position, str(e)) from None
 
 
 def load_problem(path) -> ProblemDef:
-    return parse_problem(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        lines = (data[: e.start].decode() + "?").splitlines()  # the last one holds the byte
+        raise ParseError(len(lines), len(lines[-1]), f"byte {data[e.start]:#04x} is not UTF-8") from None
+    return parse_problem(text)
 
 
 # ---------------------------------------------------------------------------

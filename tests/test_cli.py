@@ -103,6 +103,47 @@ def test_problem_without_variables_exits_1(argv, tmp_path, capsys):
     _one_line_error(capsys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, where", [
+    ("var x in [-1, 1]\nmin x + 1.2.3\n", "line 2, col 9:"),
+    ("var x in [-1, 1]\nmin x + .\n", "line 2, col 9:"),
+    ("var x in [-1, 1]\nmin 1e999*x\n", "line 2, col 5:"),
+    ("var 2x in [0, 1]\nmin x\n", "line 1, col 5:"),
+    ("var x1, x2 in [0, 1]\nmin x1\n", "line 1, col 5:"),
+    ("var x in [-1, 1]\nmin m\n", "line 2, col 5:"),
+    ("var x in [-1, 1]\nmin x\nst s <= 0\n", "line 3, col 4:"),
+    ("var x in [-inf, inf]\nmin x\n", "is not finite"),
+    ("var x in [-1e308, 1e308]\nmin x\n", "is not finite"),
+    ("var x in [nan, 1]\nmin x\n", "is not finite"),
+])
+def test_malformed_problem_text_exits_1(text, where, tmp_path, capsys):
+    f = tmp_path / "bad.vopt"
+    f.write_text(text)
+    assert main(["scan", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd, name, data", [
+    ("scan", "bad.vopt", b"var x in [-1, 1]\nmin x\xff\n"),
+    ("alternative", "bad.json", b'{"A": [[1, -1]]}\xff\n'),
+])
+def test_file_that_is_not_utf8_exits_1(cmd, name, data, tmp_path, capsys):
+    f = tmp_path / name
+    f.write_bytes(data)
+    assert main([cmd, str(f)]) == 1
+    _one_line_error(capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["scan"], ["classify", "--class", "all"]])
+def test_overflowing_residual_leaks_no_warning(argv, tmp_path, capsys):
+    f = tmp_path / "steep.vopt"
+    f.write_text("var x in [-1, 1]\nmin exp(1000*x)\n")
+    assert main([argv[0], str(f), *argv[1:], "--grid", "7"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_analyze_at_a_kink_exits_2(tmp_path, capsys):
     # grad meets abs at 0 while the local model is built, before any second
     # directional derivative is taken

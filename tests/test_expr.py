@@ -20,6 +20,7 @@ from vopt.expr import (
     evaluate,
     grad,
     hessian,
+    is_identifier,
     parse_expr,
     second_dir_deriv,
     to_text,
@@ -58,6 +59,48 @@ def test_parse_errors():
         parse_expr("(x1 + 1", V2)
     with pytest.raises(UnknownVariable):
         parse_expr("x1 + q", V2)
+
+
+@pytest.mark.parametrize("text, position, found", [
+    ("x1 + 1.2.3", 5, "1.2.3"),  # float() refuses these three
+    ("x1 + .", 5, "."),
+    ("x1 + 1e²", 5, "1e²"),  # exponent digits are what str.isdigit takes
+    ("1e999*x1", 0, "1e999"),  # reads inf
+    ("9" * 400, 0, "9" * 400),
+])
+def test_a_number_that_is_malformed_or_not_finite_is_a_syntax_error(text, position, found):
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_expr(text, V2)
+    assert (ei.value.position, ei.value.expected, ei.value.found) == (
+        position, ("finite number",), found)
+
+
+def test_tokens_keep_the_scanner_rules():
+    # a name is a letter (str.isalpha) or '_', then letters, digits (str.isalnum) or '_'
+    assert parse_expr("x² + _é1", ("x²", "_é1")) == BinOp("+", Var(0, "x²"), Var(1, "_é1"))
+    assert parse_expr("1e٣ - 2E-1", V2) == BinOp("-", Const(1000.0), Const(0.2))
+    for text, position, expected, found in [
+        ("²x", 0, ("number", "variable", "function", "(", "-"), "²"),
+        ("x1 + ٣", 5, ("number", "variable", "function", "(", "-"), "٣"),
+        ("x1 1e5²", 3, ("operator", "end of input"), "1e5²"),
+        ("x1^1e²", 3, ("integer exponent",), "1e²"),
+        ("x1^2.0", 3, ("integer exponent",), "2.0"),
+        ("x1\n", 2, ("operator", "end of input"), "\n"),  # blanks are spaces and tabs
+        ("sin(x1", 6, (")",), ""),
+    ]:
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse_expr(text, V2)
+        assert (ei.value.position, ei.value.expected, ei.value.found) == (
+            position, expected, found), text
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("x", True), ("_z1", True), ("é", True), ("x²", True), ("sin", True),
+    ("2x", False), ("²", False), ("٣", False), ("x y", False), ("x1, x2", False),
+    (" x", False), ("", False),
+])
+def test_is_identifier(text, ok):
+    assert is_identifier(text) is ok
 
 
 def test_domain_errors():

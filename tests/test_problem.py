@@ -1,9 +1,14 @@
+import contextlib
+import io
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vopt
+from vopt.cli import main
 from vopt.expr import NondifferentiablePoint, grad
 from pathlib import Path
 
@@ -81,6 +86,86 @@ def test_parse_reports_unknown_variable_position():
 def test_comments_and_blank_lines_ignored():
     P = parse_problem("# header\n\nvar x1 in [0, 1]  # bound\nmin x1  # objective\n")
     assert P.n_objectives == 1 and P.n_constraints == 0
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("var x in [0, 1]\nmin x + 1.2.3\n", 2, 9),
+    ("var x in [0, 1]\nmin x + .\n", 2, 9),
+    ("var x in [0, 1]\nmin 1e999*x\n", 2, 5),
+    ("var 2x in [0, 1]\nmin x\n", 1, 5),  # a name must be an identifier
+    ("var x1, x2 in [0, 1]\nmin x1\n", 1, 5),
+    ("var x in [0, 1]\nmin m\n", 2, 5),  # columns count from the line's start
+    ("var x in [0, 1]\nmin x\nst s <= 0\n", 3, 4),
+    ("var x in [0, 1]\n min x\n\tst  x +  <= 0\n", 3, 9),
+])
+def test_malformed_text_is_a_parse_error_at_its_column(text, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_problem(text)
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("box", ["[-inf, inf]", "[-1e308, 1e308]", "[nan, 1]", "[0, inf]"])
+def test_a_box_that_is_not_finite_is_rejected(box):
+    with pytest.raises(BadBounds, match="not finite"):
+        parse_problem(f"var x in {box}\nmin x\n")
+
+
+def test_declarations_keep_their_blank_and_comment_rules():
+    plain = parse_problem("var x in [-1, 1]\nvar y in [0, 2]\nmin x + y\nst x - y <= 0\n")
+    spaced = parse_problem(
+        "\u00a0min   x+y\t# f\nst\tx - y<=0.  # g\n"  # names may be used before they are declared
+        "  var  x\u00a0 in \t[ -1 ,1 ]# x\n\n#\nvar y in [0,2.0]\n")
+    assert spaced == plain
+    for text, message in [
+        ("var x\tin [0, 1]\nmin x\n", "expected: var <name> in"),  # 'in' needs a space before it
+        ("var x in [0, 1]\nmin\tx\n", "unrecognized line 'min'"),
+        ("var x in [0, 1]\nmin x\nst x <= 00\n", "constraint must end with '<= 0'"),
+        ("var x in (0, 1)\nmin x\n", "col 10: expected bounds"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            parse_problem(text)
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_byte(tmp_path):
+    f = tmp_path / "bad.vopt"
+    f.write_bytes(b"var x in [-1, 1]\nmin x\xff\n")
+    with pytest.raises(ParseError) as ei:
+        load_problem(f)
+    assert (ei.value.line, ei.value.col) == (2, 6)
+
+
+_NAMES = st.sampled_from(["x", "y1", "_z", "é", "x²", "2x", "x1, x2", "²", "٣", "x y", ""])
+_NUMBERS = st.sampled_from(
+    ["0", "-1", "2.5", "1e3", "1.2.3", ".", "1e999", "inf", "-inf", "nan", "-1e308", "1e308", "٣"])
+_BOXES = st.sampled_from(["[{}, {}]", "[{},{}]", "[{} {}]", "{}, {}]", "[{}, {}", "[{}; {}]"])
+_EXPR = st.lists(st.sampled_from(
+    ["x", "y1", "é", "m", "²", "٣", "+", "*", "^2", "(", ")", "2", "1.2.3", ".", "1e999",
+     "exp(", "$", " ", "\t"]), max_size=6).map("".join)
+_LINES = st.one_of(
+    st.builds(lambda name, box, lo, hi: f"var {name} in {box.format(lo, hi)}",
+              _NAMES, _BOXES, _NUMBERS, _NUMBERS),
+    _EXPR.map("min {}".format),
+    st.builds("st {}{}".format, _EXPR, st.sampled_from([" <= 0", " <= 1", ""])),
+    st.sampled_from(["", "# note", "maximize x", "var x in [-1, 1]", "var y1 in [0, 2]"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", " ", "\t"]), _LINES,
+                          st.sampled_from(["", "\t", "  # c"])), max_size=6))
+def test_problem_text_is_parsed_with_a_finite_box_or_rejected_in_one_line(lines):
+    text = "\n".join(lead + line + tail for lead, line, tail in lines)
+    try:
+        P = parse_problem(text)
+    except (ParseError, BadBounds, EmptyObjectives):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            path = Path(tmp) / "fuzz.vopt"
+            path.write_text(text, encoding="utf-8")
+            assert main(["scan", str(path)]) == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert np.isfinite(P.upper - P.lower).all() and (P.lower < P.upper).all()
 
 
 def test_active_set_on_disk_boundary():

@@ -39,7 +39,11 @@ def test_payload_census_records_one_fixture_and_diffs_it_against_itself(tmp_path
     assert list(kinds["classify"]) == list(kinds["scan"]) == ["exA"]
     assert [e["level"] for e in kinds["scan"]["exA"]["points"]].count("SecondOrderKT") == 2
     assert kinds["relation"] and kinds["relation"].keys() == kinds["saddle"].keys()
+    parse = kinds["parse"]  # exA's file, then 2,000 expression strings and 500 problem texts
+    assert parse["exA"]["vars"] == ["x1", "x2"] and len(parse) == 2501
+    assert {"vars", "repr", "error"} <= {k for rec in parse.values() for k in rec}
     lines = _run(["scripts/payload_census.py", "diff", str(out), str(out)]).splitlines()
     assert lines and all(" 0 of " in ln for ln in lines), lines
     assert any(ln.startswith("relation.domination_witness:") for ln in lines)
     assert any(ln.startswith("scan: 0 of 1 ") for ln in lines)
+    assert any(ln.startswith("parse: 0 of 2501 ") for ln in lines)
