@@ -6,14 +6,17 @@
 `write` runs, in-process, for each problem: `classify --class all`, then
 `scan` (its payload: each point's level, first-order pair, directions_tested
 and directions_failing), and at every scan point with a first-order pair
-(lambda, mu) the `analyze` relation and the `saddle` payload for that pair.  The problems are
+(lambda, mu) the `analyze` relation and the `saddle` payload for that pair;
+then `weighting` at lambda = (1,0), (1/2,1/2) and (0,1).  The problems are
 the bundled fixtures, tests/data/critical_line.vopt and the highdim-audit
 generator's seeds 0 and 5, problems 0-11 (from perfbench/workloads.py, which
-is only read).  The `parse` kind reads each problem file, and a fixed-seed
-corpus of expression strings and problem texts built from well- and
-ill-formed fragments: the parsed content (names, bounds, each expression's
-repr), or the exception's class and message.  OUT holds {kind: {key:
-payload}} with sorted keys.
+is only read).  The `alternative` kind runs `alternative` on the blocks of
+tests/data/alternative_*.json and on the alternatives generator's seed 0,
+blocks 0-49 (from the same file).  The `parse` kind reads each problem file,
+and a fixed-seed corpus of expression strings and problem texts built from
+well- and ill-formed fragments: the parsed content (names, bounds, each
+expression's repr), or the exception's class and message.  OUT holds {kind:
+{key: payload}} with sorted keys.
 
 `diff` prints, per kind, how many keys differ between two such files, and
 for the relation one line per field.  A key present in one file only counts
@@ -34,19 +37,24 @@ ROOT = Path(__file__).resolve().parents[1]
 HIGHDIM = [(seed, k) for seed in (0, 5) for k in range(12)]
 
 
-def problems(work: Path) -> dict[str, Path]:
+def inputs(work: Path) -> tuple[dict[str, Path], dict[str, Path]]:
+    """The problem files and the alternative blocks files, by name."""
     from vopt.cli import FIXTURES
 
     sys.path.insert(0, str(ROOT))
-    from perfbench.workloads import highdim_problem
+    from perfbench.workloads import alternative_blocks, highdim_problem
 
-    out = {p.stem: p for p in sorted(FIXTURES.glob("*.vopt"))}
-    out["critical_line"] = ROOT / "tests" / "data" / "critical_line.vopt"
+    problems = {p.stem: p for p in sorted(FIXTURES.glob("*.vopt"))}
+    problems["critical_line"] = ROOT / "tests" / "data" / "critical_line.vopt"
     for seed, k in HIGHDIM:
         P = highdim_problem(seed, k)
-        out[P.name] = work / f"{P.name}.vopt"
-        out[P.name].write_text(P.text)
-    return out
+        problems[P.name] = work / f"{P.name}.vopt"
+        problems[P.name].write_text(P.text)
+    blocks = {p.stem: p for p in sorted((ROOT / "tests" / "data").glob("alternative_*.json"))}
+    for k in range(50):
+        blocks[f"blocks0_{k}"] = work / f"blocks0_{k}.json"
+        blocks[f"blocks0_{k}"].write_text(json.dumps(alternative_blocks(0, k)))
+    return problems, blocks
 
 
 EXPR_VARS = ("x", "y1", "_z", "é", "x²")
@@ -120,11 +128,13 @@ def census(grid: int | None, only: list[str] | None) -> dict:
     from vopt.cli import run_for_report
 
     opts = [] if grid is None else ["--grid", str(grid)]
-    kinds: dict[str, dict] = {"classify": {}, "scan": {}, "relation": {}, "saddle": {}}
+    kinds: dict[str, dict] = {k: {} for k in (
+        "classify", "scan", "relation", "saddle", "weighting", "alternative")}
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {k: p for k, p in problems(Path(tmp)).items() if not only or k in only}
-        kinds["parse"] = parse_records(paths)
-        for name, path in paths.items():
+        problems, blocks = ({k: p for k, p in found.items() if not only or k in only}
+                            for found in inputs(Path(tmp)))
+        kinds["parse"] = parse_records(problems)
+        for name, path in problems.items():
             kinds["classify"][name] = run_for_report(
                 ["classify", str(path), "--class", "all", *opts])["payload"]
             scan = kinds["scan"][name] = run_for_report(["scan", str(path), *opts])["payload"]
@@ -138,6 +148,11 @@ def census(grid: int | None, only: list[str] | None) -> dict:
                 mu = [f"--mu={_csv(fo['mu'])}"] if fo["mu"] else []
                 kinds["saddle"][key] = run_for_report(
                     ["saddle", str(path), point, f"--lambda={_csv(fo['lam'])}", *mu, *opts])["payload"]
+            for lam in ("1,0", "0.5,0.5", "0,1"):
+                kinds["weighting"][f"{name}@{lam}"] = run_for_report(
+                    ["weighting", str(path), f"--lambda={lam}", *opts])["payload"]
+        for name, path in blocks.items():
+            kinds["alternative"][name] = run_for_report(["alternative", str(path)])["payload"]
     return kinds
 
 
@@ -168,7 +183,8 @@ def main(argv=None) -> int:
     w = sub.add_parser("write", help="record the payloads to OUT")
     w.add_argument("out", type=Path)
     w.add_argument("--grid", type=int, default=None, help="grid points per axis (default: vopt's)")
-    w.add_argument("--only", nargs="+", default=None, help="problem names to keep, e.g. exA hd5_3")
+    w.add_argument("--only", nargs="+", default=None,
+                   help="problem and blocks names to keep, e.g. exA hd5_3 blocks0_7")
     d = sub.add_parser("diff", help="count the differing keys of two recorded files")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)

@@ -1,12 +1,12 @@
 """Command line front end.
 
 Every subcommand prints a short human summary and, with --json PATH, writes
-a report {version, problem_sha256, command, seed, payload, elapsed_ms} with
-sorted keys, so the same invocation and seed reproduce the same payload.
-Exit codes: 0 ok, 1 usage or parse failure, an oversized grid or stdout closed
-early, 2 infeasible point, a saddle point outside the box, empty domain, bad
-weights or an expression undefined at the given point, 3 numerical breakdown
-or a failed reproduction diff.
+a report {version, problem_sha256, command, payload, elapsed_ms} with sorted
+keys, so the same invocation reproduces the same payload.
+Exit codes: 0 ok, 1 usage or parse failure, an oversized grid, a report that
+cannot be written or stdout closed early, 2 infeasible point, a saddle point
+outside the box, empty domain, bad weights or an expression undefined at the
+given point, 3 numerical breakdown or a failed reproduction diff.
 """
 
 from __future__ import annotations
@@ -111,20 +111,6 @@ class _Parser(argparse.ArgumentParser):
             if len(named) == 1 and acts[named[0]].nargs is None and re.match(r"-[\d.]", args[k]):
                 args[k - 1 : k + 1] = [f"{flag}={args[k]}"]
         return super().parse_known_args(args, namespace)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) or obj is None or isinstance(obj, (str, bool)):
-        return int(obj) if isinstance(obj, np.integer) else obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _floats(text: str, want: int, what: str, finite: bool = False) -> np.ndarray:
@@ -308,18 +294,6 @@ def _cmd_alternative(args):
     return payload, lines, digest
 
 
-def _report_core(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "elapsed_ms"}
-
-
-def run_for_report(argv: list[str]) -> dict:
-    """Run one subcommand in-process and return its report dict."""
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
-    payload, _, digest = _DISPATCH[args.cmd](args)
-    return _assemble(argv, args, payload, digest, time.perf_counter() - t0)
-
-
 def _cmd_reproduce(args):
     commands = EXAMPLE_COMMANDS[args.example_id]
     sha = hashlib.sha256()
@@ -334,7 +308,7 @@ def _cmd_reproduce(args):
             lines.append(f"  {name}: MISSING")
             continue
         expected = json.loads(exp_path.read_text())
-        match = _report_core(got) == _report_core(expected)
+        match = (got | {"elapsed_ms": 0}) == (expected | {"elapsed_ms": 0})
         results.append({"name": name, "match": match})
         lines.append(f"  {name}: {'OK' if match else 'DIFF'}")
     ok = all(r["match"] for r in results)
@@ -357,17 +331,6 @@ def _echo(argv) -> list[str]:
     return out
 
 
-def _assemble(argv, args, payload, digest, elapsed) -> dict:
-    return {
-        "version": __version__,
-        "problem_sha256": digest,
-        "command": _echo(argv),
-        "seed": getattr(args, "seed", 0),
-        "payload": _jsonable(payload),
-        "elapsed_ms": int(round(elapsed * 1000.0)),
-    }
-
-
 def _grid_size(text: str) -> int:
     n = int(text)
     if n < 2:
@@ -382,20 +345,43 @@ def _tolerance(text: str) -> float:
     return t
 
 
-def _add_common(sub, grid=True, dirs=True):
-    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                     help="feasibility/stationarity tolerance")
-    if grid:
-        sub.add_argument(
-            "--grid",
-            type=_grid_size,
-            default=None,
-            help="grid points per axis (default: dimension-dependent, 201 for two variables)",
-        )
-    if dirs:
-        sub.add_argument("--dirs", type=int, default=64, help="accepted; no longer changes any verdict")
-    sub.add_argument("--seed", type=int, default=0, help="echoed in reports")
-    sub.add_argument("--json", type=Path, default=None, help="write the JSON report here")
+# every argument once, by name: add_argument's keywords
+FLAGS = {
+    "problem": {"help": "problem file, or the name of a bundled fixture"},
+    "matrices": {"help": "JSON file with blocks A (required), B, C, D"},
+    "example_id": {"choices": sorted(EXAMPLE_COMMANDS)},
+    "--point": {"required": True, "help": "comma-separated coordinates"},
+    "--class": {"dest": "klass", "required": True, "choices": [*CLASS_SLUGS, "all"],
+                "help": "class to check; 'all' runs every class plus the inclusion audit"},
+    "--lambda": {"dest": "lam", "required": True, "help": "objective weights, sum 1"},
+    "--mu": {"help": "constraint multipliers (default zeros)"},
+    "--tol": {"type": _tolerance, "default": DEFAULT_TOL,
+              "help": "feasibility/stationarity tolerance"},
+    "--grid": {"type": _grid_size, "help": "grid points per axis"
+               " (default: dimension-dependent, 201 for two variables)"},
+    "--dirs": {"type": int, "help": "accepted; changes nothing"},
+    "--json": {"type": Path, "help": "write the JSON report here"},
+}
+
+# subcommand -> (handler, help, its positional argument and the flags the handler
+# reads); --dirs is read by nothing, but callers still pass it
+COMMANDS = {
+    "analyze": (_cmd_analyze, "classify one point and relate it to the argmin sets",
+                "problem --point --tol --grid --dirs --json"),
+    "scan": (_cmd_scan, "find and classify the stationary points in the box",
+             "problem --tol --grid --dirs --json"),
+    "classify": (_cmd_classify, "falsify-or-consist verdict for an invexity class",
+                 "problem --class --tol --grid --dirs --json"),
+    "saddle": (_cmd_saddle, "saddle test for given weights at a point",
+               "problem --point --lambda --mu --tol --grid --json"),
+    "weighting": (_cmd_weighting, "minimizers of the weighted objective sum",
+                  "problem --lambda --grid --json"),
+    "alternative": (_cmd_alternative, "decide a strict/multiplier alternative system",
+                    "matrices --json"),
+    "reproduce-example": (_cmd_reproduce,
+                          "re-run a bundled example and diff against expected reports",
+                          "example_id --json"),
+}
 
 
 @functools.cache  # parse_args keeps no state between calls, so one parser serves them all
@@ -403,95 +389,61 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vopt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vopt {__version__}")
     subs = parser.add_subparsers(dest="cmd", required=True)
-
-    p = subs.add_parser("analyze", help="classify one point and relate it to the argmin sets")
-    p.add_argument("problem")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-    _add_common(p)
-
-    p = subs.add_parser("scan", help="find and classify the stationary points in the box")
-    p.add_argument("problem")
-    _add_common(p)
-
-    p = subs.add_parser("classify", help="falsify-or-consist verdict for an invexity class")
-    p.add_argument("problem")
-    p.add_argument(
-        "--class",
-        dest="klass",
-        required=True,
-        choices=[*CLASS_SLUGS, "all"],
-        help="class to check; 'all' runs every class plus the inclusion audit",
-    )
-    _add_common(p)
-
-    p = subs.add_parser("saddle", help="saddle test for given weights at a point")
-    p.add_argument("problem")
-    p.add_argument("--point", required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help="objective weights, sum 1")
-    p.add_argument("--mu", default=None, help="constraint multipliers (default zeros)")
-    _add_common(p, dirs=False)
-
-    p = subs.add_parser("weighting", help="minimizers of the weighted objective sum")
-    p.add_argument("problem")
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p, dirs=False)
-
-    p = subs.add_parser("alternative", help="decide a strict/multiplier alternative system")
-    p.add_argument("matrices", help="JSON file with blocks A (required), B, C, D")
-    _add_common(p, grid=False, dirs=False)
-
-    p = subs.add_parser(
-        "reproduce-example", help="re-run a bundled example and diff against expected reports"
-    )
-    p.add_argument("example_id", choices=sorted(EXAMPLE_COMMANDS))
-    _add_common(p)
-
+    for cmd, (run, text, names) in COMMANDS.items():
+        sub = subs.add_parser(cmd, help=text)
+        sub.set_defaults(run=run)
+        for name in names.split():
+            sub.add_argument(name, **FLAGS[name])
     return parser
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "scan": _cmd_scan,
-    "classify": _cmd_classify,
-    "saddle": _cmd_saddle,
-    "weighting": _cmd_weighting,
-    "alternative": _cmd_alternative,
-    "reproduce-example": _cmd_reproduce,
+# what a command may raise -> its exit code, the first kind that matches;
+# anything else is a bug and keeps its traceback
+EXIT_CODES = {
+    UsageError: 1, ParseError: 1, EmptyObjectives: 1, BadBounds: 1, BlockShapeError: 1,
+    GridTooLarge: 1, OSError: 1,
+    InfeasiblePoint: 2, NoFeasiblePointInBox: 2, PointOutsideBox: 2, BadWeights: 2, ExprError: 2,
+    NumericalBreakdown: 3,
 }
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+def _run(argv: list[str]) -> tuple[argparse.Namespace, dict, list[str]]:
+    """Parse argv and run its subcommand: the arguments, the report and the summary lines."""
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    payload, lines, digest = args.run(args)
+    report = {
+        "version": __version__,
+        "problem_sha256": digest,
+        "command": _echo(argv),
+        "payload": json.loads(json.dumps(payload, default=lambda v: v.tolist())),  # numpy to lists
+        "elapsed_ms": int(round((time.perf_counter() - t0) * 1000.0)),
+    }
+    return args, report, lines
+
+
+def run_for_report(argv: list[str]) -> dict:
+    """Run one subcommand in-process and return its report dict."""
+    return _run(argv)[1]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        payload, lines, digest = _DISPATCH[args.cmd](args)
-    except (UsageError, ParseError, EmptyObjectives, BadBounds, BlockShapeError, GridTooLarge,
-            OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (InfeasiblePoint, NoFeasiblePointInBox, PointOutsideBox, BadWeights, ExprError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalBreakdown as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    report = _assemble(argv, args, payload, digest, time.perf_counter() - t0)
-    if args.json is not None:
-        args.json.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    try:
+        args, report, lines = _run(argv)
+        if args.json is not None:
+            args.json.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
         print("\n".join(lines), flush=True)
+    except SystemExit as e:  # argparse has printed usage, help or the version
+        return int(e.code or 0)
     except BrokenPipeError:  # the reader left: point stdout at devnull so exit's flush passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the summary was written", file=sys.stderr)
         return 1
-    if args.cmd == "reproduce-example" and not payload["all_match"]:
-        return 3
-    return 0
+    except tuple(EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
+    return 3 if args.cmd == "reproduce-example" and not report["payload"]["all_match"] else 0
 
 
 if __name__ == "__main__":

@@ -32,6 +32,8 @@ __all__ = [
     "UnknownVariable",
     "DomainError",
     "NondifferentiablePoint",
+    "MAX_DEPTH",
+    "MAX_EXPONENT",
     "parse_expr",
     "is_identifier",
     "to_text",
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
+MAX_DEPTH = 100  # levels of nesting in the text, and of height in the tree
+MAX_EXPONENT = 10_000  # largest |n| in a power x^n
 
 
 class ExprError(Exception):
@@ -161,30 +165,45 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+_Tree = tuple[Expr, int]  # what each grammar rule returns: a tree, and how many levels high
+
+
 def parse_expr(text: str, variables: tuple[str, ...] | list[str]) -> Expr:
     """Parse `text` against the declared variable names (index = position), by
     recursive descent over: expr := term (('+'|'-') term)*,
     term := factor (('*'|'/') factor)*, factor := atom ['^' ['-'] integer],
-    atom := number | variable | func '(' expr ')' | '(' expr ')' | '-' atom."""
-    toks, variables = _tokens(text)[::-1], tuple(variables)  # the next token is toks[-1]
+    atom := number | variable | func '(' expr ')' | '(' expr ')' | '-' atom.
 
-    def ending(e: Expr, want: str, expected: tuple[str, ...]) -> Expr:  # e, then token `want`
+    Parentheses and minus signs nest at most MAX_DEPTH levels, the tree is at
+    most MAX_DEPTH levels high and |n| <= MAX_EXPONENT in x^n; past a bound,
+    ExprSyntaxError names the token that passed it."""
+    toks, variables = _tokens(text)[::-1], tuple(variables)  # the next token is toks[-1]
+    depth = 0  # parentheses and minus signs open around the next token
+
+    def ending(t: _Tree, want: str, expected: tuple[str, ...]) -> _Tree:  # t, then token `want`
         kind, lex, off = toks.pop()
         if kind != want:
             raise ExprSyntaxError(off, expected, lex)
-        return e
+        return t
 
-    def chain(level: int) -> Expr:  # terms (level 0) or factors (1), joined left-associatively
+    def node(e: Expr, height: int, off: int, lex: str) -> _Tree:  # refused past MAX_DEPTH levels
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(off, (f"at most {MAX_DEPTH} levels",), lex)
+        return e, height
+
+    def chain(level: int) -> _Tree:  # terms (level 0) or factors (1), joined left-associatively
         operand = factor if level else partial(chain, 1)
-        e = operand()
+        e, h = operand()
         while toks[-1][0] in ("+-", "*/")[level]:
-            e = BinOp(toks.pop()[0], e, operand())
-        return e
+            op, _, off = toks.pop()
+            right, hr = operand()
+            e, h = node(BinOp(op, e, right), 1 + max(h, hr), off, op)
+        return e, h
 
-    def factor() -> Expr:
-        e = atom()
+    def factor() -> _Tree:
+        e, h = atom()
         if toks[-1][0] != "^":
-            return e
+            return e, h
         toks.pop()
         kind, lex, off = toks.pop()
         sign = 1
@@ -192,32 +211,43 @@ def parse_expr(text: str, variables: tuple[str, ...] | list[str]) -> Expr:
             sign, (kind, lex, off) = -1, toks.pop()
         if kind != "num" or not lex.isdigit():
             raise ExprSyntaxError(off, ("integer exponent",), lex)
-        return Pow(e, sign * int(lex))
+        if float(lex) > MAX_EXPONENT:  # float: int() refuses more than 4,300 digits
+            raise ExprSyntaxError(off, (f"exponent of at most {MAX_EXPONENT}",), lex)
+        return node(Pow(e, sign * int(lex)), h + 1, off, lex)
 
-    def atom() -> Expr:
+    def atom() -> _Tree:
+        nonlocal depth
         kind, lex, off = toks.pop()
         if kind == "num":
             try:
                 if math.isfinite(v := float(lex)):
-                    return Const(v)
+                    return Const(v), 1
             except ValueError:  # two points, or a point alone
                 pass
             raise ExprSyntaxError(off, ("finite number",), lex)
-        if kind == "-":
-            return Neg(atom())
-        if kind == "(":
-            return ending(chain(0), ")", (")",))
+        if kind in ("-", "("):
+            if depth == MAX_DEPTH:
+                raise ExprSyntaxError(off, (f"at most {MAX_DEPTH} levels",), lex)
+            depth += 1
+            if kind == "(":
+                t = ending(chain(0), ")", (")",))
+            else:
+                e, h = atom()
+                t = node(Neg(e), h + 1, off, lex)
+            depth -= 1
+            return t
         if kind == "ident" and toks[-1][0] == "(":
             if lex not in FUNCTIONS:
                 raise ExprSyntaxError(off, FUNCTIONS, lex)
-            return Call(lex, atom())  # the parenthesised argument
+            e, h = atom()  # the parenthesised argument
+            return node(Call(lex, e), h + 1, off, lex)
         if kind == "ident" and lex in variables:
-            return Var(variables.index(lex), lex)
+            return Var(variables.index(lex), lex), 1
         if kind == "ident":
             raise UnknownVariable(lex, off)
         raise ExprSyntaxError(off, ("number", "variable", "function", "(", "-"), lex)
 
-    return ending(chain(0), "eof", ("operator", "end of input"))
+    return ending(chain(0), "eof", ("operator", "end of input"))[0]
 
 
 def is_identifier(text: str) -> bool:

@@ -270,8 +270,8 @@ def _report_minus_elapsed(path):
 
 def test_criterion_7_determinism_and_runtime(tmp_path):
     for name, argv in (
-        ("scan", ["scan", "exA.vopt", "--seed", "0"]),
-        ("classify", ["classify", "exB.vopt", "--class", "kt-pseudoinvex-i", "--seed", "0"]),
+        ("scan", ["scan", "exA.vopt"]),
+        ("classify", ["classify", "exB.vopt", "--class", "kt-pseudoinvex-i"]),
     ):
         a, b = tmp_path / f"{name}_a.json", tmp_path / f"{name}_b.json"
         for out in (a, b):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vopt
 import vopt.gridsearch
 import vopt.linprog
-from vopt.cli import build_parser, main, run_for_report
+from vopt.cli import CLASS_SLUGS, COMMANDS, FLAGS, build_parser, main, run_for_report
 
 QUAD = "var x1 in [-1, 1]\nmin x1^2\n"
 DATA = Path(__file__).parent / "data"
@@ -115,6 +118,15 @@ def test_problem_without_variables_exits_1(argv, tmp_path, capsys):
     ("var x in [-inf, inf]\nmin x\n", "is not finite"),
     ("var x in [-1e308, 1e308]\nmin x\n", "is not finite"),
     ("var x in [nan, 1]\nmin x\n", "is not finite"),
+    pytest.param(f"var x in [-1, 1]\nmin {'(' * 1200}x{')' * 1200}\n", "line 2, col 105:",
+                 id="1200 parentheses"),
+    pytest.param(f"var x in [-1, 1]\nmin {'-' * 1200}x\n", "line 2, col 105:",
+                 id="1200 minus signs"),
+    pytest.param(f"var x in [-1, 1]\nmin {'sin(' * 200}x{')' * 200}\n", "line 2, col 408:",
+                 id="200 calls"),
+    pytest.param(f"var x in [-1, 1]\nmin {'+'.join(['x'] * 500)}\n", "line 2, col 204:",
+                 id="500 terms"),
+    pytest.param(f"var x in [-1, 1]\nmin x^1{'0' * 400}\n", "line 2, col 7:", id="exponent 1e400"),
 ])
 def test_malformed_problem_text_exits_1(text, where, tmp_path, capsys):
     f = tmp_path / "bad.vopt"
@@ -333,16 +345,22 @@ def test_json_report_envelope(tmp_path, capsys):
     assert main(["scan", "exA.vopt", "--json", str(out)]) == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
-    assert set(doc) == {"version", "problem_sha256", "command", "seed", "payload", "elapsed_ms"}
+    assert set(doc) == {"version", "problem_sha256", "command", "payload", "elapsed_ms"}
     assert doc["command"][0] == "scan"
     assert len(doc["problem_sha256"]) == 64
     # canonical form: sorted keys survive a round trip
     assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_report_path_that_cannot_be_written_exits_1(where, tmp_path, capsys):
+    assert main(["scan", "exA.vopt", "--grid", "11", "--json", str(tmp_path / where)]) == 1
+    _one_line_error(capsys)
+
+
 def test_same_seed_reproduces_payload(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["classify", "exA.vopt", "--class", "ktsp-invex", "--seed", "11"]
+    argv = ["classify", "exA.vopt", "--class", "ktsp-invex"]
     assert main([*argv, "--json", str(a)]) == 0
     assert main([*argv, "--json", str(b)]) == 0
     capsys.readouterr()
@@ -393,3 +411,88 @@ def test_closed_stdout_exits_1_without_traceback():
     assert proc.wait() == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+RUNNABLE = {  # one valid argv per subcommand
+    "analyze": ["analyze", "exA.vopt", "--point", "1,0"],
+    "scan": ["scan", "exA.vopt"],
+    "classify": ["classify", "exA.vopt", "--class", "ktsp-invex"],
+    "saddle": ["saddle", "exA.vopt", "--point", "0,0", "--lambda", "0.5,0.5"],
+    "weighting": ["weighting", "exB.vopt", "--lambda", "1,0"],
+    "alternative": ["alternative", str(DATA / "alternative_4_1756.json")],
+    "reproduce-example": ["reproduce-example", "4.1"],
+}
+REMOVED = (  # flags that changed nothing on these subcommands
+    [(cmd, "--seed") for cmd in RUNNABLE]
+    + [(cmd, "--tol") for cmd in ("weighting", "alternative", "reproduce-example")]
+    + [("reproduce-example", "--grid"), ("reproduce-example", "--dirs")]
+)
+
+
+@pytest.mark.parametrize("cmd, flag", REMOVED)
+def test_removed_flag_is_refused(cmd, flag, capsys):
+    assert main([*RUNNABLE[cmd], flag, "3"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+
+
+def _values(flag):
+    def mostly(good, bad):  # valid values three times in four
+        return st.sampled_from(good * 3 + bad)
+
+    number = mostly(["-1", "0", "0.5", "1", "-.5", "1e-3"],
+                    ["nan", "inf", "-inf", "", "x", "1e999"])
+    return {
+        "--class": mostly([*CLASS_SLUGS, "all"], ["", "kt"]),
+        "--tol": mostly(["1e-8", "0", "1e-3"], ["-1", "nan", "inf", ""]),
+        "--grid": mostly(["2", "3", "11", "41"], ["1", "0", "-5", "nan", ""]),
+        "--dirs": mostly(["8"], ["-1", "x"]),
+        "--seed": st.sampled_from(["0", "-1"]),
+    }.get(flag, st.lists(number, min_size=1, max_size=3).map(",".join))
+
+
+_POSITIONALS = {
+    "problem": st.sampled_from(["exA.vopt", "exB.vopt", "exBprime.vopt", "exC.vopt",
+                                str(DATA / "shifted_cubic.vopt"), "missing.vopt"]),
+    "matrices": st.sampled_from([str(p) for p in sorted(DATA.glob("alternative_*.json"))]
+                                + ["missing.json", "exA.vopt"]),
+    "example_id": st.sampled_from(["4.1", "5.1", "5.2", "9.9"]),
+}
+REQUIRED = {flag for flag, keywords in FLAGS.items() if keywords.get("required")}
+
+
+@st.composite
+def _argv(draw, out_dir):
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    positional, *listed = COMMANDS[cmd][2].split()
+    listed.remove("--json")
+    chosen = [f for f in listed if draw(st.integers(0, 9) if f in REQUIRED else st.booleans())]
+    if "--grid" in listed and "--grid" not in chosen:
+        chosen.append("--grid")  # the defaults build grids of up to 201 points per axis
+    if not draw(st.integers(0, 9)):
+        chosen.append(draw(st.sampled_from(["--seed", "--tol", "--grid", "--dirs"])))
+    argv = [cmd, draw(_POSITIONALS[positional])]
+    for flag in draw(st.permutations(chosen)):
+        value = draw(_values(flag))
+        spelled = flag[: draw(st.integers(3, len(flag)))]  # a prefix, maybe not unique
+        argv += [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
+    if draw(st.booleans()):
+        argv += ["--json", draw(st.sampled_from([str(out_dir / "r.json"), str(out_dir),
+                                                 str(out_dir / "missing" / "r.json")]))]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_argv_ends_in_a_documented_exit_code_and_one_error_line(data, tmp_path_factory):
+    out_dir = tmp_path_factory.getbasetemp() / "fuzz"
+    out_dir.mkdir(exist_ok=True)
+    argv = data.draw(_argv(out_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code in (1, 2):
+        assert err.endswith("\n") and "error:" in err.splitlines()[-1]
+    if code == 0:
+        assert err == ""

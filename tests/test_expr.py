@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vopt.expr import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
     BinOp,
     Call,
     Const,
@@ -73,6 +75,42 @@ def test_a_number_that_is_malformed_or_not_finite_is_a_syntax_error(text, positi
         parse_expr(text, V2)
     assert (ei.value.position, ei.value.expected, ei.value.found) == (
         position, ("finite number",), found)
+
+
+N = MAX_DEPTH
+
+
+def _height(tree) -> int:
+    return 1 + max((_height(v) for v in vars(tree).values()
+                    if isinstance(v, (Const, Var, Neg, Call, BinOp, Pow))), default=0)
+
+
+@pytest.mark.parametrize("text, height", [
+    ("(" * N + "x" + ")" * N, 1),
+    ("-" * (N - 1) + "x", N),
+    ("sin(" * (N - 1) + "x" + ")" * (N - 1), N),
+    ("+".join(["x"] * N), N),
+    ("-" * (N - 2) + "x^2", N),
+    (f"x^{MAX_EXPONENT} + x^-{MAX_EXPONENT} + x^000{MAX_EXPONENT}", 4),
+], ids=["parens", "minus", "calls", "sum", "power", "exponents"])
+def test_nesting_tree_height_and_exponents_at_their_bounds_parse(text, height):
+    assert _height(parse_expr(text, ("x",))) == height
+
+
+@pytest.mark.parametrize("text, position, found", [
+    ("(" * (N + 1) + "x" + ")" * (N + 1), N, "("),
+    ("-" * (N + 1) + "x", N, "-"),
+    ("sin(" * (N + 1) + "x" + ")" * (N + 1), 4 * N + 3, "("),
+    ("+".join(["x"] * (N + 1)), 2 * N - 1, "+"),
+    ("-" * (N - 1) + "x^2", N + 1, "2"),  # (-...-x)^2: the power makes the tree too high
+    (f"x^{MAX_EXPONENT + 1}", 2, str(MAX_EXPONENT + 1)),
+    (f"x^-{MAX_EXPONENT + 1}", 3, str(MAX_EXPONENT + 1)),
+    ("x^1" + "0" * 5000, 2, "1" + "0" * 5000),  # past what int() reads
+], ids=["parens", "minus", "calls", "sum", "power", "exponent", "negative", "digits"])
+def test_nesting_tree_height_or_exponent_past_its_bound_is_a_syntax_error(text, position, found):
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_expr(text, ("x",))
+    assert (ei.value.position, ei.value.found) == (position, found)
 
 
 def test_tokens_keep_the_scanner_rules():

@@ -34,11 +34,15 @@ def test_script_runs_clean(argv, audits):
 
 def test_payload_census_records_one_fixture_and_diffs_it_against_itself(tmp_path):
     out = tmp_path / "census.json"
-    _run(["scripts/payload_census.py", "write", str(out), "--grid", "41", "--only", "exA"])
+    _run(["scripts/payload_census.py", "write", str(out), "--grid", "41",
+          "--only", "exA", "alternative_4_1756", "blocks0_3"])
     kinds = json.loads(out.read_text())
     assert list(kinds["classify"]) == list(kinds["scan"]) == ["exA"]
     assert [e["level"] for e in kinds["scan"]["exA"]["points"]].count("SecondOrderKT") == 2
     assert kinds["relation"] and kinds["relation"].keys() == kinds["saddle"].keys()
+    assert list(kinds["weighting"]) == ["exA@0,1", "exA@0.5,0.5", "exA@1,0"]
+    assert sorted(kinds["alternative"]) == ["alternative_4_1756", "blocks0_3"]
+    assert all(p["verified"] for p in kinds["alternative"].values())
     parse = kinds["parse"]  # exA's file, then 2,000 expression strings and 500 problem texts
     assert parse["exA"]["vars"] == ["x1", "x2"] and len(parse) == 2501
     assert {"vars", "repr", "error"} <= {k for rec in parse.values() for k in rec}
@@ -47,3 +51,5 @@ def test_payload_census_records_one_fixture_and_diffs_it_against_itself(tmp_path
     assert any(ln.startswith("relation.domination_witness:") for ln in lines)
     assert any(ln.startswith("scan: 0 of 1 ") for ln in lines)
     assert any(ln.startswith("parse: 0 of 2501 ") for ln in lines)
+    assert any(ln.startswith("weighting: 0 of 3 ") for ln in lines)
+    assert any(ln.startswith("alternative: 0 of 2 ") for ln in lines)
