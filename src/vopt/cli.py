@@ -29,14 +29,7 @@ from .gridsearch import GridTooLarge, find_kt_points
 from .invexity import check_class, inclusion_audit
 from .ktcheck import classify_point
 from .linprog import BlockShapeError, MultiplierWitness, NumericalBreakdown, decide_alternative
-from .problem import (
-    DEFAULT_TOL,
-    BadBounds,
-    EmptyObjectives,
-    InfeasiblePoint,
-    ParseError,
-    load_problem,
-)
+from .problem import BadBounds, EmptyObjectives, InfeasiblePoint, ParseError, load_problem
 from .scalarize import (
     BadWeights,
     NoFeasiblePointInBox,
@@ -100,15 +93,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse takes a value such as "-1,0" for an option: glue it to its flag,
-        # named in full or by the unique prefix argparse would accept
+        # argparse takes a value such as "-1,0" for an option: glue it to its flag
         args = list(sys.argv[1:] if args is None else args)
         acts = self._option_string_actions
         for k in range(len(args) - 1, 0, -1):
             flag = args[k - 1]
-            named = [flag] if flag in acts else [
-                o for o in acts if flag.startswith("--") and o.startswith(flag)]
-            if len(named) == 1 and acts[named[0]].nargs is None and re.match(r"-[\d.]", args[k]):
+            if flag in acts and acts[flag].nargs is None and re.match(r"-[\d.]", args[k]):
                 args[k - 1 : k + 1] = [f"{flag}={args[k]}"]
         return super().parse_known_args(args, namespace)
 
@@ -174,10 +164,10 @@ def _fmt_point(x) -> str:
 def _cmd_analyze(args):
     P, digest = _load(args.problem)
     x = _floats(args.point, P.dim, "--point", finite=True)
-    verdict = classify_point(P, x, tol=args.tol)
+    verdict = classify_point(P, x)
     fo = verdict.first_order
     lam, mu = (fo.lam, fo.mu) if fo is not None else (None, None)
-    rel = relation_chain(P, lam, mu, x, grid=args.grid, tol=args.tol)
+    rel = relation_chain(P, lam, mu, x, grid=args.grid)
     relation = _fields(rel, "in_scalarized_argmin in_weighting_argmin weak_pareto kt"
                             " domination_witness anomalies grid")
     payload = {"classification": _classification_dict(verdict), "relation": relation}
@@ -197,11 +187,11 @@ def _cmd_analyze(args):
 
 def _cmd_scan(args):
     P, digest = _load(args.problem)
-    pts = find_kt_points(P, grid=args.grid, tol=args.tol)
+    pts = find_kt_points(P, grid=args.grid)
     entries = []
     lines = [f"{len(pts)} stationary point(s)"]
     for x in pts:
-        v = classify_point(P, x, tol=args.tol)
+        v = classify_point(P, x)
         entries.append(_classification_dict(v))
         lines.append(f"  {_fmt_point(x)}: {v.level}")
     payload = {"points": entries}
@@ -211,7 +201,7 @@ def _cmd_scan(args):
 def _cmd_classify(args):
     P, digest = _load(args.problem)
     if args.klass == "all":
-        rep = inclusion_audit(P, grid=args.grid, tol=args.tol)
+        rep = inclusion_audit(P, grid=args.grid)
         payload = {
             "verdicts": [_verdict_dict(v) for v in rep.verdicts],
             "violations": [list(v) for v in rep.violations],
@@ -220,7 +210,7 @@ def _cmd_classify(args):
         lines.append(f"inclusion violations: {len(rep.violations)}")
         return payload, lines, digest
     klass = CLASS_SLUGS[args.klass]
-    v = check_class(P, klass, grid=args.grid, tol=args.tol)
+    v = check_class(P, klass, grid=args.grid)
     payload = {"verdict": _verdict_dict(v)}
     lines = [f"{klass}: {v.status}"]
     if v.witness is not None:
@@ -236,7 +226,7 @@ def _cmd_saddle(args):
     x = _floats(args.point, P.dim, "--point", finite=True)
     lam = _floats(args.lam, P.n_objectives, "--lambda")
     mu = _floats(args.mu, P.n_constraints, "--mu") if args.mu is not None else np.zeros(P.n_constraints)
-    v = check_saddle(P, lam, x, mu, grid=args.grid, tol=args.tol)
+    v = check_saddle(P, lam, x, mu, grid=args.grid)
     payload = {"point": x, "lam": lam, "mu": mu, **_fields(
         v, "left_ok right_status counterexample gap grid is_saddle")}
     lines = [f"saddle at {_fmt_point(x)}: {'yes' if v.is_saddle else 'no'}"]
@@ -338,13 +328,6 @@ def _grid_size(text: str) -> int:
     return n
 
 
-def _tolerance(text: str) -> float:
-    t = float(text)
-    if not (0.0 <= t < np.inf):
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
-    return t
-
-
 # every argument once, by name: add_argument's keywords
 FLAGS = {
     "problem": {"help": "problem file, or the name of a bundled fixture"},
@@ -355,8 +338,6 @@ FLAGS = {
                 "help": "class to check; 'all' runs every class plus the inclusion audit"},
     "--lambda": {"dest": "lam", "required": True, "help": "objective weights, sum 1"},
     "--mu": {"help": "constraint multipliers (default zeros)"},
-    "--tol": {"type": _tolerance, "default": DEFAULT_TOL,
-              "help": "feasibility/stationarity tolerance"},
     "--grid": {"type": _grid_size, "help": "grid points per axis"
                " (default: dimension-dependent, 201 for two variables)"},
     "--dirs": {"type": int, "help": "accepted; changes nothing"},
@@ -367,13 +348,13 @@ FLAGS = {
 # reads); --dirs is read by nothing, but callers still pass it
 COMMANDS = {
     "analyze": (_cmd_analyze, "classify one point and relate it to the argmin sets",
-                "problem --point --tol --grid --dirs --json"),
+                "problem --point --grid --dirs --json"),
     "scan": (_cmd_scan, "find and classify the stationary points in the box",
-             "problem --tol --grid --dirs --json"),
+             "problem --grid --dirs --json"),
     "classify": (_cmd_classify, "falsify-or-consist verdict for an invexity class",
-                 "problem --class --tol --grid --dirs --json"),
+                 "problem --class --grid --dirs --json"),
     "saddle": (_cmd_saddle, "saddle test for given weights at a point",
-               "problem --point --lambda --mu --tol --grid --json"),
+               "problem --point --lambda --mu --grid --json"),
     "weighting": (_cmd_weighting, "minimizers of the weighted objective sum",
                   "problem --lambda --grid --json"),
     "alternative": (_cmd_alternative, "decide a strict/multiplier alternative system",
@@ -386,11 +367,12 @@ COMMANDS = {
 
 @functools.cache  # parse_args keeps no state between calls, so one parser serves them all
 def build_parser() -> _Parser:
-    parser = _Parser(prog="vopt", description=__doc__.splitlines()[0])
+    # no abbreviations: a flag is named in full, so `_echo` and the glue see every name
+    parser = _Parser(prog="vopt", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"vopt {__version__}")
     subs = parser.add_subparsers(dest="cmd", required=True)
     for cmd, (run, text, names) in COMMANDS.items():
-        sub = subs.add_parser(cmd, help=text)
+        sub = subs.add_parser(cmd, help=text, allow_abbrev=False)
         sub.set_defaults(run=run)
         for name in names.split():
             sub.add_argument(name, **FLAGS[name])

@@ -15,7 +15,7 @@ import numpy as np
 from .expr import ExprError, eval_grid, evaluate, grad, hessian
 from .ktcheck import first_order_kt
 from .memo import GRIDS, RESULTS, memo
-from .problem import DEFAULT_TOL, InfeasiblePoint, ProblemDef, _subsets, within
+from .problem import InfeasiblePoint, ProblemDef, _subsets, within
 
 __all__ = [
     "GridData",
@@ -263,7 +263,7 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx):
 
 
 @memo(RESULTS)
-def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = DEFAULT_TOL):
+def find_kt_points(P: ProblemDef, grid: int | None = None):
     """Scan the box for first-order KT points: `nnls` scores the coarse cells,
     grid-local minima and the 32 best cells seed (at most SEED_CAP, best
     first), Gauss-Newton refines with near-active constraint snapping, and
@@ -304,7 +304,7 @@ def find_kt_points(P: ProblemDef, grid: int | None = None, tol: float = DEFAULT_
                 continue
             x = np.clip(x, P.lower, P.upper)
             try:
-                if first_order_kt(P, x, tol) is None:
+                if first_order_kt(P, x) is None:
                     continue
             except InfeasiblePoint:
                 continue

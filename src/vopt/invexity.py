@@ -135,32 +135,31 @@ class _Scan:
     share them without keeping state here; classifications and multiplier
     candidates are cheap reads of the shared model."""
 
-    def __init__(self, P: ProblemDef, grid, tol):
-        self.P, self.tol = P, tol
+    def __init__(self, P: ProblemDef, grid):
+        self.P = P
         self.data = get_grid(P, grid)
         if not self.data.feasible.any():
             raise NoFeasiblePointInBox("no feasible grid point in the box")
-        self.points = find_kt_points(P, grid=grid, tol=tol)
+        self.points = find_kt_points(P, grid=grid)
 
     def candidate_points(self, second: bool):
         if not second:
             return list(self.points)
-        return [x for x in self.points
-                if classify_point(self.P, x, tol=self.tol).level == SECOND_ORDER_KT]
+        return [x for x in self.points if classify_point(self.P, x).level == SECOND_ORDER_KT]
 
 
-def _candidate_triples(P: ProblemDef, x, tol, second: bool = False):
+def _candidate_triples(P: ProblemDef, x, second: bool = False):
     """KT multiplier candidates at x: the vertices (lambda, mu) of the
     multiplier set under Sum lambda = 1 (`LocalModel.vertices`).  The class
     defects are linear in (lambda, mu) for a fixed rival, so the vertices
     settle the whole set.  With `second`, pairs must also have nonnegative
     curvature along each of the model's `critical_directions`."""
-    m = local_model(P, x, tol)
+    m = local_model(P, x)
     n, act = P.n_objectives, list(m.active.indices)
 
     def bends_down(v, f2, g2) -> bool:
         cur = float(v[:n] @ f2) + (float(v[n:] @ g2) if g2.size else 0.0)
-        return cur < -tol * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
+        return cur < -DEFAULT_TOL * (1.0 + max(np.abs(f2).max(initial=0.0), np.abs(g2).max(initial=0.0)))
 
     kept = []
     for v in m.vertices()[0]:
@@ -179,16 +178,16 @@ _SEARCH = {KTSP_INVEX: saddle_rival, SECOND_ORDER_KTSP_INVEX: saddle_rival,
 def _verdict(scan: _Scan, klass: str) -> ClassVerdict:
     """The first rival over the candidate points and their multiplier
     pairs; a Pareto class asks its multiplier-free question once per point."""
-    P, second, grid, tol = scan.P, klass in _SECOND_ORDER, scan.data.grid, scan.tol
+    P, second, grid = scan.P, klass in _SECOND_ORDER, scan.data.grid
     search = _SEARCH.get(klass)
     strict_all = klass in (KT_PSEUDOINVEX_I, SECOND_ORDER_KT_PSEUDOINVEX_I)
     probes = ((x, lam, mu) for x in scan.candidate_points(second)
-              for lam, mu in (_candidate_triples(P, x, tol, second) if search else [(None, None)]))
+              for lam, mu in (_candidate_triples(P, x, second) if search else [(None, None)]))
     witness, used = None, 0
     for x, lam, mu in probes:
         used += 1
-        witness = (search(P, lam, mu, x, grid, tol) if search
-                   else dominating_rival(P, x, grid, tol, strict_all))
+        witness = (search(P, lam, mu, x, grid) if search
+                   else dominating_rival(P, x, grid, strict_all=strict_all))
         if witness is not None:
             break
     return ClassVerdict(
@@ -203,32 +202,23 @@ def _verdict(scan: _Scan, klass: str) -> ClassVerdict:
     )
 
 
-def check_class(
-    P: ProblemDef,
-    klass: str,
-    grid: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> ClassVerdict:
+def check_class(P: ProblemDef, klass: str, grid: int | None = None) -> ClassVerdict:
     """Falsify-or-consist verdict for one invexity class.
 
     Stationary points come from the multistart grid scan; candidates are
     visited in sorted order, so the witness is the lexicographically first
-    falsifier found.  Deterministic given (grid, tol).
+    falsifier found.  Deterministic given the grid.
     """
     if klass not in INVEXITY_CLASSES:
         raise ValueError(f"unknown invexity class {klass!r}")
-    return _verdict(_Scan(P, grid, tol), klass)
+    return _verdict(_Scan(P, grid), klass)
 
 
-def inclusion_audit(
-    P: ProblemDef,
-    grid: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> InclusionReport:
+def inclusion_audit(P: ProblemDef, grid: int | None = None) -> InclusionReport:
     """All eight class verdicts on shared scan state, plus any inclusion
     violations (a first-order class Consistent while its second-order
     superclass is Falsified)."""
-    scan = _Scan(P, grid, tol)
+    scan = _Scan(P, grid)
     verdicts = tuple(_verdict(scan, k) for k in INVEXITY_CLASSES)
     by = dict(zip(INVEXITY_CLASSES, verdicts))
     violations = tuple(
@@ -239,14 +229,7 @@ def inclusion_audit(
     return InclusionReport(verdicts=verdicts, violations=violations)
 
 
-def pointwise_eta_feasibility(
-    P: ProblemDef,
-    x,
-    y,
-    d=None,
-    order: str = ORDER_FIRST,
-    tol: float = DEFAULT_TOL,
-) -> EtaFeasibility:
+def pointwise_eta_feasibility(P: ProblemDef, x, y, d=None, order: str = ORDER_FIRST) -> EtaFeasibility:
     """Decide the defining disjunction for the fixed pair (x, y).
 
     System 1 asks for eta (and omega >= 0 at second order) with
@@ -265,7 +248,7 @@ def pointwise_eta_feasibility(
     second order.
     """
     y = np.asarray(y, dtype=float)
-    m = local_model(P, x, tol)
+    m = local_model(P, x)
     x, act, fg, gg, s = m.point, list(m.active.indices), m.Gf, m.Gg, P.dim
 
     if order == ORDER_SECOND:
@@ -310,18 +293,13 @@ def pointwise_eta_feasibility(
     return EtaFeasibility(system=None, eta=None, omega=None, certificate=res)
 
 
-def pointwise_survey(
-    P: ProblemDef,
-    grid: int | None = None,
-    seed: int = 0,
-    pairs: int = RANDOM_PAIRS,
-    tol: float = DEFAULT_TOL,
-) -> PairSurvey:
+def pointwise_survey(P: ProblemDef, grid: int | None = None, seed: int = 0,
+                     pairs: int = RANDOM_PAIRS) -> PairSurvey:
     """First-order pair sweep: all ordered pairs of discovered stationary
     points plus `pairs` random box pairs (base kept feasible by rejection).
     A nonempty refuted list means the saddle-point invexity definition fails
     at this resolution."""
-    points = find_kt_points(P, grid=grid, tol=tol)
+    points = find_kt_points(P, grid=grid)
     tested: list[tuple[np.ndarray, np.ndarray]] = [(a, b) for a in points for b in points]
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(P.lower), np.asarray(P.upper)
@@ -330,13 +308,13 @@ def pointwise_survey(
     while made < pairs and attempts < 200 * pairs:
         attempts += 1
         base = lo + (hi - lo) * rng.random(P.dim)
-        if not feasible_at(P, base, tol):
+        if not feasible_at(P, base, DEFAULT_TOL):
             continue
         probe = lo + (hi - lo) * rng.random(P.dim)
         tested.append((base, probe))
         made += 1
     refuted = []
     for base, probe in tested:
-        if not pointwise_eta_feasibility(P, base, probe, order=ORDER_FIRST, tol=tol).solvable:
+        if not pointwise_eta_feasibility(P, base, probe, order=ORDER_FIRST).solvable:
             refuted.append((base, probe))
     return PairSurvey(pairs_tested=len(tested), refuted=tuple(refuted))

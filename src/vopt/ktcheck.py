@@ -18,7 +18,6 @@ import numpy as np
 
 from .linprog import MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative
 from .problem import (
-    DEFAULT_TOL,
     FRITZ_JOHN,
     SUM_LAMBDA_ONE,
     DirectionAnalysis,
@@ -80,43 +79,32 @@ class PrimalVerdict:
         return self.status == "Inconsistent"
 
 
-def first_order_kt(
-    P: ProblemDef, x, tol: float = DEFAULT_TOL, normalization: str = SUM_LAMBDA_ONE
-) -> MultiplierPair | None:
+def first_order_kt(P: ProblemDef, x, normalization: str = SUM_LAMBDA_ONE) -> MultiplierPair | None:
     """One pair (lam, mu) with lam, mu >= 0, mu supported on the active set,
     and Sum lam_i grad f_i + Sum mu_j grad g_j = 0 within the stationarity
     band of `LocalModel.multipliers`; None when no pair fits it."""
-    return local_model(P, x, tol).multipliers(normalization=normalization)
+    return local_model(P, x).multipliers(normalization=normalization)
 
 
 def second_order_multipliers(
-    P: ProblemDef,
-    x,
-    d,
-    tol: float = DEFAULT_TOL,
-    normalization: str = SUM_LAMBDA_ONE,
+    P: ProblemDef, x, d, normalization: str = SUM_LAMBDA_ONE
 ) -> MultiplierPair | None:
     """Multipliers certifying the second-order condition along one critical
     direction d (a vector or a ready DirectionAnalysis): a pair on the band
     with L''(x; d) >= 0 under the chosen normalization, supported on I(x, d)
     and J(x, d) (see `LocalModel.multipliers`).  NotCritical unless d is."""
-    m = local_model(P, x, tol)
+    m = local_model(P, x)
     _, (f2, g2) = m.along(d)
     return m.multipliers(f2, g2, normalization=normalization)
 
 
-def classify_point(
-    P: ProblemDef,
-    x,
-    tol: float = DEFAULT_TOL,
-    normalization: str = SUM_LAMBDA_ONE,
-) -> StationarityVerdict:
+def classify_point(P: ProblemDef, x, normalization: str = SUM_LAMBDA_ONE) -> StationarityVerdict:
     """First-order test, then one second-order multiplier question per
     direction of the critical cone's finite candidate set
     (`critical_candidates`).  SecondOrderKT means every candidate admits a
-    pair: exact up to tol, within the stated limit (Σλ = 1 vertices; s <= 2
-    or at most two vertices).  A read of the shared model."""
-    m = local_model(P, x, tol)
+    pair: exact up to DEFAULT_TOL, within the stated limit (Σλ = 1 vertices;
+    s <= 2 or at most two vertices).  A read of the shared model."""
+    m = local_model(P, x)
     fo = m.multipliers(normalization=normalization)
     if fo is None:
         return StationarityVerdict(point=m.point, level=NOT_STATIONARY, first_order=None,
@@ -136,12 +124,12 @@ def classify_point(
     )
 
 
-def primal_necessary(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> PrimalVerdict:
+def primal_necessary(P: ProblemDef, x, d) -> PrimalVerdict:
     """Decide whether some z satisfies grad h_i(x)·z + h_i''(x; d) < 0 for
     every h_i with index in I(x,d) (objectives) and J(x,d) (constraints).
     Inconsistency is certified by the multiplier system of the alternative
     theorem, which is exactly a Fritz John second-order pair on I ∪ J."""
-    da, (f2, g2) = local_model(P, x, tol).along(d)
+    da, (f2, g2) = local_model(P, x).along(d)
     idx_f = da.zero_objectives
     idx_g = [da.active.indices.index(j) for j in da.zero_constraints]  # rows of Gg
     if not idx_f and not idx_g:

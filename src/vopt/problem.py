@@ -48,7 +48,7 @@ __all__ = [
     "critical_candidates",
 ]
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # the one tolerance of the activity, criticality and stationarity bands
 
 SUM_LAMBDA_ONE = "SumLambdaOne"
 FRITZ_JOHN = "FritzJohn"
@@ -124,7 +124,6 @@ class ProblemDef:
 @dataclass(frozen=True, eq=False)
 class ActiveSet:
     point: np.ndarray
-    tol: float
     indices: tuple[int, ...]  # sorted ascending
     values: np.ndarray  # all constraint values at the point
 
@@ -254,30 +253,29 @@ def feasible_at(P: ProblemDef, y, eps: float) -> bool:
     return True
 
 
-def active_set(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> ActiveSet:
+def active_set(P: ProblemDef, x) -> ActiveSet:
     x = np.array(x, dtype=float)  # a copy: memoised results share the point
     vals = np.array([evaluate(g, x) for g in P.constraints])
     for j, v in enumerate(vals):
-        if not within(v, tol):
+        if not within(v, DEFAULT_TOL):
             raise InfeasiblePoint(j, float(v))
-    idx = tuple(j for j, v in enumerate(vals) if within(abs(v), tol))
-    return ActiveSet(point=x, tol=tol, indices=idx, values=vals)
+    idx = tuple(j for j, v in enumerate(vals) if within(abs(v), DEFAULT_TOL))
+    return ActiveSet(point=x, indices=idx, values=vals)
 
 
 class LocalModel:
     """The local facts every first- and second-order condition reads at one
     feasible point x, computed once: the active set A(x), the gradient rows
     Gf (n x s) of the objectives and Gg (|A| x s) of the active constraints,
-    and the per-row activity tolerances tol·(1 + |row|).  `multipliers` is
-    the one KT-multiplier oracle, read off the cone's extreme `rays`, and
-    `along` the one read along a direction; the rays, the
+    and the per-row activity tolerances DEFAULT_TOL·(1 + |row|).
+    `multipliers` is the one KT-multiplier oracle, read off the cone's extreme
+    `rays`, and `along` the one read along a direction; the rays, the
     `critical_directions` and their `critical_seconds` are filled in on
     first use.  `local_model` shares one model per point."""
 
-    def __init__(self, P: ProblemDef, x, tol: float = DEFAULT_TOL):
+    def __init__(self, P: ProblemDef, x):
         self.P = P
-        self.tol = tol
-        self.active = active_set(P, x, tol)  # raises InfeasiblePoint
+        self.active = active_set(P, x)  # raises InfeasiblePoint
         self.point = self.active.point
         s = P.dim
         self.Gf = np.array([grad(f, self.point) for f in P.objectives])
@@ -285,8 +283,8 @@ class LocalModel:
             [grad(P.constraints[j], self.point) for j in self.active.indices]
         ).reshape(-1, s)
         norms = np.array([float(np.linalg.norm(r)) for r in (*self.Gf, *self.Gg)])
-        self.f_tols = tol * (1.0 + norms[: P.n_objectives])
-        self.g_tols = tol * (1.0 + norms[P.n_objectives :])
+        self.f_tols = DEFAULT_TOL * (1.0 + norms[: P.n_objectives])
+        self.g_tols = DEFAULT_TOL * (1.0 + norms[P.n_objectives :])
 
     @shared
     def rays(self) -> np.ndarray:
@@ -295,7 +293,7 @@ class LocalModel:
         constraints).  With the rows scaled by c_k = max(|row_k|, 1) into the
         columns R, a ray is a support S where [1 on λ; R_S]·w = e₁ (1 on all of
         S when S holds no objective) has full column rank and a solution
-        w >= 0 with |R_S w| <= tol·(1 + Σ w_k|R_k|); it is returned as w/c."""
+        w >= 0 with |R_S w| <= DEFAULT_TOL·(1 + Σ w_k|R_k|); it is returned as w/c."""
         rows = np.vstack([self.Gf, self.Gg])
         n, k = len(self.Gf), len(rows)
         scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
@@ -305,7 +303,7 @@ class LocalModel:
             lead = np.less(S, n) if S[0] < n else np.ones(len(S))
             w, _, rank, _ = np.linalg.lstsq(np.vstack([lead, R[:, S]]),
                                             np.eye(len(R) + 1)[0], rcond=None)
-            band = self.tol * (1.0 + np.linalg.norm(R[:, S], axis=0) @ w)
+            band = DEFAULT_TOL * (1.0 + np.linalg.norm(R[:, S], axis=0) @ w)
             if rank == len(S) and w.min() >= 0.0 and np.abs(R[:, S] @ w).max() <= band:
                 ray = np.zeros(k)
                 ray[S] = w / scale[S]
@@ -503,16 +501,16 @@ def _crossings(A, B) -> list[np.ndarray]:
 
 
 @memo(RESULTS)
-def local_model(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> LocalModel:
+def local_model(P: ProblemDef, x) -> LocalModel:
     """The one shared LocalModel at x: every per-point question reads it."""
-    return LocalModel(P, x, tol)
+    return LocalModel(P, x)
 
 
-def analyze_direction(P: ProblemDef, x, d, tol: float = DEFAULT_TOL) -> DirectionAnalysis:
+def analyze_direction(P: ProblemDef, x, d) -> DirectionAnalysis:
     """Criticality analysis of one direction d at x (see LocalModel.directions)."""
-    return local_model(P, x, tol).directions([d])[0]
+    return local_model(P, x).directions([d])[0]
 
 
-def sample_critical_directions(P: ProblemDef, x, tol: float = DEFAULT_TOL) -> list[DirectionAnalysis]:
+def sample_critical_directions(P: ProblemDef, x) -> list[DirectionAnalysis]:
     """The critical directions tested at x (see LocalModel.critical_directions)."""
-    return list(local_model(P, x, tol).critical_directions)
+    return list(local_model(P, x).critical_directions)

@@ -4,7 +4,7 @@ about a KT point, each returning its rival as a `Witness` or None:
 `saddle_rival` (through `check_saddle`), `weighting_rival` and
 `dominating_rival`.  `relation_chain` and `invexity`'s class checks both read
 them, so each comparison has one rule: the Lagrangian margin
-max(REFUTE_MARGIN, 1e3·tol)·(1 + |v|) for the saddle and weighting values,
+REFUTE_MARGIN·(1 + |v|) for the saddle and weighting values,
 WITNESS_GAP·(1 + |f_i|) per objective for domination.
 
 Global statements here are box-and-grid scoped: a "no counterexample" or
@@ -286,13 +286,12 @@ def _objectives(P: ProblemDef, x) -> np.ndarray:
     return np.array([evaluate(f, x) for f in P.objectives])
 
 
-def _margin(v: float, tol: float) -> float:
+def _margin(v: float) -> float:
     """How far a rival's Lagrangian or weighted value must fall below v."""
-    return max(REFUTE_MARGIN, 1e3 * tol) * (1.0 + abs(v))
+    return REFUTE_MARGIN * (1.0 + abs(v))
 
 
-def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
-                 tol: float = DEFAULT_TOL) -> SaddleVerdict:
+def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None) -> SaddleVerdict:
     """Decide L(xbar, mu) <= L(xbar, mubar) <= L(x, mubar) over mu >= 0 and
     box x.  The left side is closed-form: the sup over mu >= 0 of
     <mu, g(xbar)> is attained at mubar iff g(xbar) <= 0 and the pairing is
@@ -306,14 +305,14 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     gvals = np.array([evaluate(g, xbar) for g in P.constraints])
     scale = 1.0 + float(np.abs(gvals).sum()) if gvals.size else 1.0
     left_ok = bool(
-        within(gvals, tol).all()
-        and abs(float(mubar @ gvals) if gvals.size else 0.0) <= tol * scale
+        within(gvals, DEFAULT_TOL).all()
+        and abs(float(mubar @ gvals) if gvals.size else 0.0) <= DEFAULT_TOL * scale
     )
 
     Lbar = lagrangian(P, lam, mubar, xbar)
     pts, vals, g = _polish(P, lam, mubar, grid, feasible_only=False)
     k = int(np.argmin(vals))
-    found = Lbar - float(vals[k]) > _margin(Lbar, tol)
+    found = Lbar - float(vals[k]) > _margin(Lbar)
     return SaddleVerdict(
         left_ok=left_ok,
         right_status="Counterexample" if found else "NoCounterexampleFound",
@@ -323,10 +322,9 @@ def check_saddle(P: ProblemDef, lam, xbar, mubar, grid: int | None = None,
     )
 
 
-def saddle_rival(P: ProblemDef, lam, mu, x, grid: int | None = None,
-                 tol: float = DEFAULT_TOL) -> Witness | None:
+def saddle_rival(P: ProblemDef, lam, mu, x, grid: int | None = None) -> Witness | None:
     """`check_saddle`'s counterexample, its Lagrangian values re-evaluated."""
-    v = check_saddle(P, lam, x, mu, grid=grid, tol=tol)
+    v = check_saddle(P, lam, x, mu, grid=grid)
     if v.counterexample is None:
         return None
     rival = np.asarray(v.counterexample, dtype=float)
@@ -335,21 +333,20 @@ def saddle_rival(P: ProblemDef, lam, mu, x, grid: int | None = None,
                    point_values=(lx,), rival_values=(lr,), gap=lx - lr)
 
 
-def weighting_rival(P: ProblemDef, lam, mu, x, grid: int | None = None,
-                    tol: float = DEFAULT_TOL) -> Witness | None:
+def weighting_rival(P: ProblemDef, lam, mu, x, grid: int | None = None) -> Witness | None:
     """The weighting problem's best feasible point, if it beats x's
     weighted objective by more than the Lagrangian margin.  mu is only
     carried into the witness."""
     lam = np.asarray(lam, dtype=float)
     rival = np.asarray(solve_weighting(P, lam, grid=grid).minimizers[0].point, dtype=float)
     mine, rv = float(lam @ _objectives(P, x)), float(lam @ _objectives(P, rival))
-    if mine - rv > _margin(mine, tol) and feasible_at(P, rival, tol):
+    if mine - rv > _margin(mine) and feasible_at(P, rival, DEFAULT_TOL):
         return Witness(point=x, lam=lam, mu=mu, rival=rival,
                        point_values=(mine,), rival_values=(rv,), gap=mine - rv)
     return None
 
 
-def dominating_rival(P: ProblemDef, x, grid: int | None = None, tol: float = DEFAULT_TOL,
+def dominating_rival(P: ProblemDef, x, grid: int | None = None,
                      strict_all: bool = True) -> Witness | None:
     """Feasible grid point beating x: in every objective (weak Pareto
     violation) or componentwise-<= with one strict (Pareto violation), each
@@ -372,15 +369,14 @@ def dominating_rival(P: ProblemDef, x, grid: int | None = None, tol: float = DEF
     for i in idx[np.argsort(dist, kind="stable")]:
         rival = data.pts[:, i].copy()
         fr = _objectives(P, rival)
-        if feasible_at(P, rival, tol) and beats(fr[:, None])[0]:
+        if feasible_at(P, rival, DEFAULT_TOL) and beats(fr[:, None])[0]:
             gap = float((fx - fr).min()) if strict_all else float((fx - fr).max())
             return Witness(point=x, lam=None, mu=None, rival=rival,
                            point_values=tuple(fx), rival_values=tuple(fr), gap=gap)
     return None
 
 
-def relation_chain(P: ProblemDef, lam, mu, xbar, grid: int | None = None,
-                   tol: float = DEFAULT_TOL) -> RelationReport:
+def relation_chain(P: ProblemDef, lam, mu, xbar, grid: int | None = None) -> RelationReport:
     """Membership of xbar in argmin L(., mu) (a saddle point with
     complementary slackness), argmin of the weighting problem, the weak
     Pareto set and the KT set, each read off its one search; any violated
@@ -388,14 +384,14 @@ def relation_chain(P: ProblemDef, lam, mu, xbar, grid: int | None = None,
     KT pair (lam None) the two argmin memberships are None.  Every search
     is over the box, so xbar must lie in it."""
     xbar = np.asarray(xbar, dtype=float)
-    kt = local_model(P, xbar, tol).multipliers() is not None  # raises InfeasiblePoint
+    kt = local_model(P, xbar).multipliers() is not None  # raises InfeasiblePoint
     if not P.in_box(xbar, slack=1e-12):
         raise PointOutsideBox(f"point {xbar.tolist()} lies outside the box")
     in_scal = in_weight = None
     if lam is not None:
-        in_scal = check_saddle(P, lam, xbar, mu, grid, tol).is_saddle
-        in_weight = weighting_rival(P, lam, mu, xbar, grid, tol) is None
-    rival = dominating_rival(P, xbar, grid, tol)
+        in_scal = check_saddle(P, lam, xbar, mu, grid).is_saddle
+        in_weight = weighting_rival(P, lam, mu, xbar, grid) is None
+    rival = dominating_rival(P, xbar, grid)
     weak_pareto = rival is None
 
     anomalies = []

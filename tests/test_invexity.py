@@ -256,7 +256,7 @@ def test_an_interior_weight_is_no_second_order_triple():
     P = parse_problem("var x1 in [-1, 1]\nvar x2 in [-1, 1]\n"
                       "min 0.05*x1^2 + 2.8*x1*x2 - 0.4*x2^2\n"
                       "min 3.75*x1^2 - 0.4*x1*x2 + 0.55*x2^2\n")
-    triples = _candidate_triples(P, np.zeros(2), 1e-8, True)
+    triples = _candidate_triples(P, np.zeros(2), second=True)
     assert [tuple(lam) for lam, _ in triples] == [(0.0, 1.0)]
     rep = inclusion_audit(P)
     assert rep.verdict(KTSP_INVEX).status == FALSIFIED

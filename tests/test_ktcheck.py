@@ -422,16 +422,17 @@ def _segment_pair(x1, x2):
     return [f1, f2], [g]
 
 
-def _certificates_hold(P, x, closed, tol=1e-8):
+def _certificates_hold(P, x, closed):
     """Every direction classify_point tests: its pair exists exactly when the
     second-order LP finds one, and re-verifies in plain numpy from the closed
     forms: signs, support, Σλ = 1, curvature and the stationarity band."""
+    tol = 1e-8
     fs, gs = closed(*x)
     Gf, Gg = (np.array([r[1] for r in rows], dtype=float).reshape(-1, 2) for rows in (fs, gs))
-    v = classify_point(P, x, tol=tol)
+    v = classify_point(P, x)
     for o in v.per_direction:
         pair, d = o.multipliers, o.analysis.direction
-        assert (pair is None) == (second_order_multipliers(P, x, o.analysis, tol) is None)
+        assert (pair is None) == (second_order_multipliers(P, x, o.analysis) is None)
         if pair is None:
             continue
         lam, mu = pair.lam, pair.mu

@@ -48,13 +48,13 @@ def test_every_exC_scan_point_has_a_triple():
     P = load_problem(FIX / "exC.vopt")
     points = find_kt_points(P)
     assert len(points) == 29
-    assert all(_candidate_triples(P, x, 1e-8) for x in points)
+    assert all(_candidate_triples(P, x) for x in points)
 
 
 def test_pinned_weights_reach_every_vertex_of_a_non_unique_lambda():
     # at exBprime's (1, 0) any lambda is a KT weight (mu_2 = 4 lam_1 + 2 lam_2);
     # the triples are the two vertices of that segment
-    triples = _candidate_triples(load_problem(FIX / "exBprime.vopt"), np.array([1.0, 0.0]), 1e-8)
+    triples = _candidate_triples(load_problem(FIX / "exBprime.vopt"), np.array([1.0, 0.0]))
     lams = sorted(tuple(lam) for lam, _ in triples)
     assert lams == [(0.0, 1.0), (1.0, 0.0)]
     for lam, mu in triples:
@@ -65,7 +65,7 @@ def test_three_variable_kt_points_are_probed():
     P = parse_problem(HIGHDIM_5_0)
     points = find_kt_points(P, grid=21)
     assert len(points) > 20
-    assert all(_candidate_triples(P, x, 1e-8) for x in points)
+    assert all(_candidate_triples(P, x) for x in points)
     assert check_class(P, "KTSPInvex", grid=21).resolution.pair_samples > 0
 
 

@@ -1,7 +1,9 @@
 """Smoke runs of the scripts, each as its own process: the invexity tour
 (which also drives `pointwise_survey`), the alternative-system stress and
-the payload census."""
+the payload census; and the benchmark tracer's span names, which must keep
+naming functions of vopt."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -53,3 +55,13 @@ def test_payload_census_records_one_fixture_and_diffs_it_against_itself(tmp_path
     assert any(ln.startswith("parse: 0 of 2501 ") for ln in lines)
     assert any(ln.startswith("weighting: 0 of 3 ") for ln in lines)
     assert any(ln.startswith("alternative: 0 of 2 ") for ln in lines)
+
+
+def test_every_benchmark_span_names_a_vopt_function(monkeypatch):
+    # perfbench/spans.py is only read: a `src/` rename would break the traced pass
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    assert len(spans.SPANS) > 20
+    for span in spans.SPANS:
+        module, name = span.split(".")
+        assert callable(getattr(importlib.import_module(f"vopt.{module}"), name, None)), span
