@@ -3,12 +3,13 @@
 Expressions are immutable trees built by :func:`parse_expr`. Each tree is
 compiled once per arithmetic into nested closures: strict floats for
 `evaluate`, numpy rows for `eval_grid`, and a degree-two Taylor jet (value,
-first, second coefficient along a ray) for `grad`, `second_dir_deriv` and
-`hessian`, so no differencing error enters the derivatives.
+first, second coefficient along a ray) for `grad`, `second_dir_deriv`,
+`hessian` and `grad_hessian`, so no differencing error enters the derivatives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -42,6 +43,7 @@ __all__ = [
     "grad",
     "second_dir_deriv",
     "hessian",
+    "grad_hessian",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -413,8 +415,8 @@ def eval_grid(e: Expr, X: np.ndarray) -> np.ndarray:
 _J = tuple[float, float, float]
 
 
-def _jet(e: Expr, x, d) -> _J:
-    return _compile(e, _JETS)((x, d))
+def _jet(e: Expr, x: np.ndarray, d: np.ndarray) -> _J:
+    return _compile(e, _JETS)((x.tolist(), d.tolist()))  # a list's items index fastest
 
 
 def _jet_bin(op: str, u: _J, v: _J) -> _J:
@@ -492,17 +494,19 @@ def second_dir_deriv(e: Expr, x, d) -> float:
 
 
 def hessian(e: Expr, x) -> np.ndarray:
-    """Full Hessian assembled from directional second derivatives by
-    polarization: H_ij = (Q(e_i + e_j) - Q(e_i) - Q(e_j)) / 2."""
+    """Full Hessian (see `grad_hessian`)."""
+    return grad_hessian(e, x)[1]
+
+
+def grad_hessian(e: Expr, x) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian from one jet set: the pass along e_i carries both
+    the i-th partial and H_ii = Q(e_i), Q the second directional derivative,
+    and polarization gives H_ij = (Q(e_i + e_j) - Q(e_i) - Q(e_j)) / 2."""
     x = np.asarray(x, dtype=float)
-    s = x.shape[0]
-    eye = np.eye(s)
-    q = np.array([second_dir_deriv(e, x, eye[i]) for i in range(s)])
-    H = np.diag(q)
-    for i in range(s):
-        for j in range(i + 1, s):
-            H[i, j] = H[j, i] = 0.5 * (
-                second_dir_deriv(e, x, eye[i] + eye[j]) - q[i] - q[j]
-            )
-    return H
+    eye = np.eye(x.shape[0])
+    jets = [_jet(e, x, d) for d in eye]
+    H = np.diag([c for _, _, c in jets])
+    for i, j in itertools.combinations(range(len(eye)), 2):
+        H[i, j] = H[j, i] = 0.5 * (_jet(e, x, eye[i] + eye[j])[2] - H[i, i] - H[j, j])
+    return np.array([b for _, b, _ in jets]), H
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprError, eval_grid, evaluate, grad, hessian
+from .expr import ExprError, eval_grid, evaluate, grad, grad_hessian
 from .ktcheck import first_order_kt
 from .memo import GRIDS, RESULTS, memo
 from .problem import InfeasiblePoint, ProblemDef, _subsets, within
@@ -216,22 +216,25 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx):
     lam = np.asarray(lam0, dtype=float).copy()
     mu = np.full(k, 0.1)
 
-    def residual(x, lam, mu):
-        fg = np.array([grad(f, x) for f in P.objectives])
-        gg = np.array([grad(P.constraints[j], x) for j in mu_idx]).reshape(k, s)
+    def residual(x, lam, mu):  # with the rows and Hessians at x: one jet set per expression
+        jf = [grad_hessian(f, x) for f in P.objectives]
+        jg = [grad_hessian(P.constraints[j], x) for j in mu_idx]
+        fg = np.array([g for g, _ in jf])
+        gg = np.array([g for g, _ in jg]).reshape(k, s)
         r1 = fg.T @ lam + (gg.T @ mu if k else 0.0)
         r2 = np.array([lam.sum() - 1.0])
         r3 = np.array([evaluate(P.constraints[j], x) for j in mu_idx])
-        return np.concatenate([np.atleast_1d(r1), r2, r3]), fg, gg
+        Hf, Hg = [H for _, H in jf], [H for _, H in jg]
+        return np.concatenate([np.atleast_1d(r1), r2, r3]), (fg, gg, Hf, Hg)
 
-    R, fg, gg = residual(x, lam, mu)
+    R, (fg, gg, Hf, Hg) = residual(x, lam, mu)
     for _ in range(NEWTON_STEPS):
         nr = _norm(R)
         if nr <= 1e-12:
             break
-        H = sum(lam[i] * hessian(P.objectives[i], x) for i in range(n))
-        for c, j in enumerate(mu_idx):
-            H = H + mu[c] * hessian(P.constraints[j], x)
+        H = sum(lam[i] * Hf[i] for i in range(n))
+        for c in range(k):
+            H = H + mu[c] * Hg[c]
         J = np.zeros((s + 1 + k, s + n + k))
         J[:s, :s] = H
         J[:s, s : s + n] = fg.T
@@ -248,12 +251,12 @@ def _gauss_newton(P: ProblemDef, x0, lam0, mu_idx):
             ln = lam + t * delta[s : s + n]
             mn = mu + t * delta[s + n :]
             try:
-                Rn, fgn, ggn = residual(xn, ln, mn)
+                Rn, at = residual(xn, ln, mn)
             except ExprError:
                 t *= 0.5
                 continue
             if _norm(Rn) < (1.0 - 1e-4 * t) * nr:
-                x, lam, mu, R, fg, gg = xn, ln, mn, Rn, fgn, ggn
+                x, lam, mu, R, (fg, gg, Hf, Hg) = xn, ln, mn, Rn, at
                 improved = True
                 break
             t *= 0.5
@@ -277,7 +280,7 @@ def find_kt_points(P: ProblemDef, grid: int | None = None):
     score = np.full(data.pts.shape[1], np.inf)
     near_set = (1 << np.arange(m)) @ (data.G > -near * (1.0 + np.abs(data.G)))  # as bits
     live = data.feasible & np.isfinite(grads[:n]).all(axis=(0, 1))
-    for bits in np.unique(near_set[live]):  # the cells of one near-active set share their columns
+    for bits in sorted(set(near_set[live].tolist())):  # one near-active set's cells share columns
         rows = list(range(n)) + [n + j for j in range(m) if bits >> j & 1]
         cells = np.flatnonzero(live & (near_set == bits))
         cols = grads[:, :, cells][rows]

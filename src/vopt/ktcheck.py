@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linprog import MultiplierWitness, NumericalBreakdown, StrictWitness, decide_alternative
+from .memo import RESULTS, memo
 from .problem import (
     FRITZ_JOHN,
     SUM_LAMBDA_ONE,
@@ -98,12 +99,13 @@ def second_order_multipliers(
     return m.multipliers(f2, g2, normalization=normalization)
 
 
+@memo(RESULTS)
 def classify_point(P: ProblemDef, x, normalization: str = SUM_LAMBDA_ONE) -> StationarityVerdict:
     """First-order test, then one second-order multiplier question per
     direction of the critical cone's finite candidate set
     (`critical_candidates`).  SecondOrderKT means every candidate admits a
     pair: exact up to DEFAULT_TOL, within the stated limit (Σλ = 1 vertices;
-    s <= 2 or at most two vertices).  A read of the shared model."""
+    s <= 2 or at most two vertices).  Memoised: one verdict per point."""
     m = local_model(P, x)
     fo = m.multipliers(normalization=normalization)
     if fo is None:

@@ -6,8 +6,9 @@ trees; never its source text, so comments do not matter), every other
 argument by its exact bits: -0.0 is not 0.0, nor is a point one ulp away the
 same point, and a list of floats is the float64 array of its bits.  Shared
 values are frozen (arrays read-only; a list, dict or set in one is an error;
-the call's own arguments are left alone), and so are the `shared` members a
-value fills in later.  Each function keeps its `size` most recently used
+the call's own arguments and every instance of an `immutable` class, such as
+a parsed problem, are left alone), and so are the `shared` members a value
+fills in later.  Each function keeps its `size` most recently used
 entries.  Nothing is computed at import.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 GRIDS = 2  # entries per function; a 61^3 or 21^4 grid holds 10-12 MB
 RESULTS = 128
 _stores: list[OrderedDict] = []
+_immutable: set[type] = set()
 
 
 def _key(v):
@@ -34,8 +36,15 @@ def _key(v):
     return (type(v), float.hex(v) if isinstance(v, float) else v)
 
 
+def immutable(cls):
+    """Class decorator: its instances are immutable by construction (read-only
+    arrays, caches that hold no content), so a value may hold one unfrozen."""
+    _immutable.add(cls)
+    return cls
+
+
 def _freeze(v, seen: set) -> None:
-    if id(v) in seen:
+    if id(v) in seen or type(v) in _immutable:
         return
     seen.add(id(v))
     if isinstance(v, (list, dict, set)):

@@ -22,7 +22,7 @@ import numpy as np
 from .expr import (
     Expr, ExprError, evaluate, grad, hessian, is_identifier, parse_expr, second_dir_deriv,
 )
-from .memo import RESULTS, memo, shared
+from .memo import RESULTS, immutable, memo, shared
 
 __all__ = [
     "SUM_LAMBDA_ONE",
@@ -80,6 +80,7 @@ class NotCritical(Exception):
     pass
 
 
+@immutable
 @dataclass(frozen=True, eq=False)
 class ProblemDef:
     var_names: tuple[str, ...]
@@ -168,6 +169,7 @@ _MIN = re.compile(r"min (?P<expr>.*)")
 _ST = re.compile(r"st[ \t](?:\s*(?P<expr>.*?)\s*<=\s*0(?:\.0?)?|.*)")  # expr None: no '<= 0' tail
 
 
+@memo(RESULTS)
 def parse_problem(text: str) -> ProblemDef:
     boxes: dict[str, tuple[float, float]] = {}
     rest = []  # (line number, body, match): objectives and constraints wait for every name
@@ -314,13 +316,17 @@ class LocalModel:
 
     def vertices(self, normalization: str = SUM_LAMBDA_ONE) -> tuple[np.ndarray, np.ndarray]:
         """(vertices, recession rays) of the multiplier set, read off the
-        `rays`.  Under Σλ = 1 the vertices are the rays with λ ≠ 0, scaled to
-        Σλ = 1, and the rays with λ = 0 recede; under Fritz John every ray is a
-        vertex, scaled to Σλ + Σμ = 1."""
-        n, W = self.P.n_objectives, self.rays
+        `rays`.  Under Σλ = 1 (`_kt_vertices`, kept) the vertices are the rays
+        with λ ≠ 0, scaled to Σλ = 1, and the rays with λ = 0 recede; under
+        Fritz John every ray is a vertex, scaled to Σλ + Σμ = 1."""
         if normalization == FRITZ_JOHN:
-            return W / W.sum(axis=1, keepdims=True), W[:0]
-        lam = W[:, :n].sum(axis=1)
+            return self.rays / self.rays.sum(axis=1, keepdims=True), self.rays[:0]
+        return self._kt_vertices
+
+    @shared
+    def _kt_vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        W = self.rays
+        lam = W[:, : self.P.n_objectives].sum(axis=1)
         return W[lam > 0.0] / lam[lam > 0.0, None], W[lam == 0.0]
 
     def multipliers(self, f2=None, g2=None,

@@ -346,6 +346,7 @@ def weighting_rival(P: ProblemDef, lam, mu, x, grid: int | None = None) -> Witne
     return None
 
 
+@memo(RESULTS)
 def dominating_rival(P: ProblemDef, x, grid: int | None = None,
                      strict_all: bool = True) -> Witness | None:
     """Feasible grid point beating x: in every objective (weak Pareto
@@ -354,7 +355,7 @@ def dominating_rival(P: ProblemDef, x, grid: int | None = None,
     the nearest one is preferred, so witnesses stay local and readable; each
     is re-evaluated before it counts."""
     data = get_grid(P, grid)
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)  # a copy: the memoised witness shares its point
     fx = _objectives(P, x)
     margin = WITNESS_GAP * (1.0 + np.abs(fx))
 

@@ -5,7 +5,8 @@
 (`evaluate`, `_eval_arr`, `_jet`) computed them, before one compiled walk
 replaced them, on every fixture objective and constraint and on inline
 expressions that reach each domain rule.  A failure is recorded by the
-name of the exception class.  The compiled walk must reproduce every entry.
+name of the exception class.  The compiled walk must reproduce every entry,
+and `grad_hessian` must give `grad`'s and `hessian`'s entries at once.
 """
 
 import json
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from vopt.cli import FIXTURES
-from vopt.expr import ExprError, eval_grid, evaluate, grad, hessian, parse_expr, second_dir_deriv
+from vopt.expr import (
+    ExprError, eval_grid, evaluate, grad, grad_hessian, hessian, parse_expr, second_dir_deriv,
+)
 from vopt.problem import load_problem
 
 REFERENCE = Path(__file__).with_name("expr_bits.json")
@@ -76,3 +79,11 @@ def test_reference_covers_every_case():
 @pytest.mark.parametrize("key, e", list(_cases()), ids=[k for k, _ in _cases()])
 def test_values_and_derivatives_are_bit_exact(key, e):
     assert _record(e) == json.loads(REFERENCE.read_text())[key]
+
+
+@pytest.mark.parametrize("key, e", list(_cases()), ids=[k for k, _ in _cases()])
+def test_grad_hessian_is_grad_and_hessian_bit_for_bit(key, e):
+    pinned = json.loads(REFERENCE.read_text())[key]["points"]
+    for x, point in zip(POINTS, pinned):
+        assert _hex(lambda: grad_hessian(e, x)[0]) == point["grad"]
+        assert _hex(lambda: grad_hessian(e, x)[1]) == point["hessian"]

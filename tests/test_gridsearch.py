@@ -1,6 +1,6 @@
 """The KT scan's batched scorer against SciPy's per-cell NNLS, the partial
 selection of best cells against a full stable argsort, the scan's seed cap,
-and a runtime that never loads SciPy."""
+and a runtime that never loads SciPy or numpy.ma."""
 
 import os
 import subprocess
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import vopt
 from vopt.gridsearch import _fd_gradients, find_kt_points, get_grid, lowest, nnls
 from vopt.problem import load_problem, parse_problem
+
+from conftest import PAPER_PASS
 
 FIX = Path(vopt.__file__).parent / "fixtures"
 DATA = Path(__file__).parent / "data"
@@ -112,3 +114,23 @@ def test_no_subcommand_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(vopt.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[0, 0] []"
+
+
+def test_the_paper_pass_and_a_scan_never_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 10 ms of a fresh process
+    path = tmp_path / "ball3.vopt"
+    path.write_text(
+        "var x1 in [-2, 2]\nvar x2 in [-2, 2]\nvar x3 in [-2, 2]\n"
+        "min (x1 - 1)^2 + x2^2 + x3^2 - 0.3*x1*x3\nmin (x1 + 1)^2 + (x2 - 0.5)^2 + exp(0.5*x3)\n"
+        "st x1^2 + x2^2 + x3^2 - 3 <= 0\n"
+    )
+    code = (
+        "import contextlib, io, sys\n"
+        "from vopt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {[*PAPER_PASS, ['scan', str(path)]]!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vopt.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == f"{[0] * (len(PAPER_PASS) + 1)} False"

@@ -378,9 +378,10 @@ def test_paper_pass_lp_budget(monkeypatch, capsys):
 def test_paper_pass_model_budget(monkeypatch, capsys):
     # Every per-point question reads the memoised model, so a paper pass
     # builds one model per bit-distinct point its scans and commands ask
-    # about, and enumerates the rays of each model at most once.  A model
-    # per question would make 129 models and 118 enumerations.
-    models, enumerations = [], []
+    # about, enumerates the rays of each model at most once, and classifies
+    # each point at most once.  A model per question would make 129 models
+    # and 118 enumerations; an unmemoised classification runs 213 times.
+    models, enumerations, verdicts = [], [], []
     init, rays = vopt.problem.LocalModel.__init__, vopt.problem.LocalModel.__dict__["rays"]
     enumerate_rays = rays.func
 
@@ -392,8 +393,15 @@ def test_paper_pass_model_budget(monkeypatch, capsys):
         enumerations.append(self)
         return enumerate_rays(self)
 
+    verdict = vopt.ktcheck.StationarityVerdict
+
+    def counted_verdict(**kw):  # one per run of classify_point's body
+        verdicts.append(kw["point"])
+        return verdict(**kw)
+
     monkeypatch.setattr(vopt.problem.LocalModel, "__init__", counted_init)
     monkeypatch.setattr(rays, "func", counted_rays)
+    monkeypatch.setattr(vopt.ktcheck, "StationarityVerdict", counted_verdict)
     vopt.memo.clear()
     for argv in PAPER_PASS:
         assert main(argv) == 0, argv
@@ -401,6 +409,7 @@ def test_paper_pass_model_budget(monkeypatch, capsys):
     assert 0 < len(models) <= 79
     assert 0 < len(enumerations) <= 68
     assert len({id(m) for m in enumerations}) == len(enumerations)
+    assert 0 < len(verdicts) <= len(models)
 
 
 # closed forms of the fixtures' objectives and constraints: (value, gradient,

@@ -13,17 +13,21 @@ import vopt.cli
 import vopt.memo
 import vopt.problem
 from vopt.cli import main
+from vopt.expr import evaluate
 from vopt.gridsearch import _grid, find_kt_points, get_grid
 from vopt.ktcheck import classify_point
 from vopt.problem import load_problem, local_model, parse_problem
-from vopt.scalarize import _polished_min, check_saddle, solve_unconstrained, solve_weighting
+from vopt.scalarize import (
+    _polished_min, check_saddle, dominating_rival, solve_unconstrained, solve_weighting,
+)
 
 PAIR = "var x1 in [-2, 2]\nvar x2 in [-2, 2]\nmin x1^2 + x2^2\nmin (x1 - 1)^2 + x2^2\n"
 COMMENTED = (
     "# two shifted paraboloids\nvar x1 in [-2, 2]   # first\nvar x2 in [-2, 2]\n\n"
     "min x1^2 + x2^2  # f1\nmin (x1 - 1)^2 + x2^2\n"
 )
-MEMOISED = (_grid, find_kt_points, local_model, _polished_min)
+MEMOISED = (_grid, find_kt_points, local_model, _polished_min, classify_point, dominating_rival,
+            parse_problem)
 
 
 def test_files_that_differ_only_in_comments_share_entries(tmp_path):
@@ -34,7 +38,7 @@ def test_files_that_differ_only_in_comments_share_entries(tmp_path):
     assert get_grid(P, 5) is get_grid(Q, 5)
     assert local_model(P, [0.5, 0.0]) is local_model(Q, np.array([0.5, 0.0]))
     assert solve_weighting(P, [0.5, 0.5], grid=5).value == solve_weighting(Q, [0.5, 0.5], 5).value
-    assert [len(fn.store) for fn in MEMOISED] == [1, 0, 1, 1]
+    assert [len(fn.store) for fn in MEMOISED] == [1, 0, 1, 1, 0, 0, 2]  # two texts parsed
     assert find_kt_points(P, grid=5) is find_kt_points(Q, grid=5)
     assert len(find_kt_points.store) == 1
 
@@ -133,6 +137,17 @@ def test_the_box_is_read_only_so_a_key_cannot_go_stale():
             bound[0] = 0.0
     with pytest.raises(AttributeError):
         P.lower = np.zeros(2)
+
+
+def test_a_value_may_hold_a_problem_parsed_apart():
+    # A verdict reaches, through its model, the problem an earlier command
+    # parsed; its nodes hold compiled closures in a dict, yet it is immutable.
+    P = parse_problem(COMMENTED)
+    evaluate(P.objectives[0], [0.5, 0.0])
+    held = vopt.memo.memo(4)(lambda t: (t, P))
+    assert held(1.0)[1] is P and len(held.store) == 1
+    with pytest.raises(ValueError):
+        P.lower[0] = 0.0
 
 
 def test_a_mutable_value_is_refused():
